@@ -26,8 +26,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-MULTI_CLIENT = {"serve_mixed"}
-REPLICA_STRIDE = 1000
 
 
 def log(msg):
@@ -88,17 +86,6 @@ def source_digest():
     return h.hexdigest()
 
 
-def merge_metrics(per_replica):
-    """Mean over replicas; peak RSS is the largest replica's."""
-    merged = {}
-    for name, first in per_replica[0].items():
-        values = [m[name]["value"] for m in per_replica if name in m]
-        value = (max(values) if name == "peak_rss_mb" else
-                 sum(values) / len(values))
-        merged[name] = {"value": value, "unit": first["unit"]}
-    return merged
-
-
 def select_metrics(spec, measured, trace):
     """The declared metrics of this mode, in declaration order."""
     declared = spec["per_layer"] if trace else spec["end_to_end"]
@@ -149,58 +136,35 @@ def main():
         log("perfbench: unknown workload " + args.workload)
         return 2
 
-    # Single-client workloads run as independent replica processes, one per
-    # core (at most four), each with its own seed derived from --seed; the
-    # host's per-core speed drifts by tens of percent over tens of seconds,
-    # and averaging over cores narrows the run-to-run spread. serve_mixed
-    # already drives every core from one process.
-    replicas = 1 if args.workload in MULTI_CLIENT else min(
-        4, os.cpu_count() or 1)
-    seeds = [args.seed * REPLICA_STRIDE + i for i in range(replicas)]
-    procs = []
+    cmd = [os.path.join(out, "perfbench"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", repr(args.seconds),
+           "--trace", str(args.trace)]
+    proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     try:
-        for seed in seeds:
-            cmd = [os.path.join(out, "perfbench"), "--workload",
-                   args.workload, "--seed", str(seed), "--seconds",
-                   repr(args.seconds), "--trace", str(args.trace)]
-            procs.append(subprocess.Popen(cmd, cwd=ROOT,
-                                          stdout=subprocess.PIPE, text=True))
-        outputs = [p.communicate(timeout=args.seconds + 150)[0]
-                   for p in procs]
+        text = proc.communicate(timeout=args.seconds + 150)[0]
     finally:
-        for p in procs:
-            if p.poll() is None:
-                p.kill()
-            p.wait()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
 
-    provenances, results = [], []
-    for p, text in zip(procs, outputs):
-        lines = text.strip().splitlines()
-        if len(lines) < 2:
-            log("perfbench: a replica printed no result (exit %d)" %
-                p.returncode)
-            return p.returncode or 1
-        provenances.append(json.loads(lines[-2])["provenance"])
-        results.append(json.loads(lines[-1]))
-    metrics, bypassed = select_metrics(
-        spec, merge_metrics([r["metrics"] for r in results]),
-        bool(args.trace))
-    provenance = provenances[0]
-    provenance["replicas"] = replicas
-    provenance["replica_seeds"] = seeds
-    provenance["error_rate"] = (
-        sum(r["failed"] for r in results) /
-        max(1, sum(r["attempted"] for r in results)))
+    lines = text.strip().splitlines()
+    if len(lines) < 2:
+        log("perfbench: the workload printed no result (exit %d)" %
+            proc.returncode)
+        return proc.returncode or 1
+    provenance = json.loads(lines[-2])["provenance"]
+    result = json.loads(lines[-1])
+    metrics, bypassed = select_metrics(spec, result["metrics"],
+                                       bool(args.trace))
     provenance["git_sha"] = git_sha()
     provenance["source_digest"] = source_digest()
     provenance["bypassed_layers_reading_0"] = bypassed
-    ok = all(r["correct"] for r in results) and all(
-        p.returncode == 0 for p in procs)
+    ok = result["correct"] and proc.returncode == 0
     print(json.dumps({"provenance": provenance}))
     print(json.dumps({
         "correct": ok,
-        "attempted": sum(int(r["attempted"]) for r in results),
-        "failed": sum(int(r["failed"]) for r in results),
+        "attempted": int(result["attempted"]),
+        "failed": int(result["failed"]),
         "metrics": metrics,
     }))
     return 0 if ok else 1

@@ -1,19 +1,22 @@
 // census_query: Figure 30 as a closed loop.
 //
-// One client, default SessionOptions (threads = 1), read-only. Two
-// sessions over chased noisy census data (0.1% placeholder density, the
-// twelve Figure 25 dependencies): a WSDT session of kWsdtRows and a
+// One client, default SessionOptions (threads = 1), read-only. Sessions
+// over chased noisy census data (0.1% placeholder density, the twelve
+// Figure 25 dependencies): kWsdtDraws WSDT sessions of kWsdtRows and one
 // U-relations session of kUrelRows. U-relations answer the same query
 // several times faster per row, so its session holds four times the rows
 // and the two backends' request costs overlap instead of forming two
-// separate latency bands.
+// separate latency bands. The WSDT sessions hold the same records under
+// different noise draws and take turns per query: at 16k rows a
+// selective query's answer time depends on where the few or-sets of its
+// output fall, up to 2× between draws, so the workload covers several
+// placements rather than one.
 //
 // A request runs Run(Qi) on one session, asks possible-with-confidence
 // and certain on the output, probes two of its tuples with
 // TupleConfidence, and drops the output. The (backend, query) pair is
-// drawn from a BlockStream with fixed weights chosen so that the p50 and
-// p90 of each request class fall inside one query's latency band rather
-// than in the gap between two of them.
+// drawn from a BlockStream that serves every pair once per block, and the
+// answer and query latencies are summarized per class (ClassLatencies).
 //
 // Time goes to the plan driver, the WSDT and U-relation operators,
 // component forcing and confidence computation; none to the server,
@@ -23,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -50,14 +54,25 @@ using namespace maywsd;
 constexpr size_t kWsdtRows = 16000;
 constexpr size_t kUrelRows = 4 * kWsdtRows;
 constexpr double kDensity = 0.001;
-constexpr int kSetupRepeats = 3;
+/// The noisy census is one fixed data set, as the paper's IPUMS extract
+/// with its injected noise is; the seed draws the request order and the
+/// probed tuples. With seeded records and noise, the selective queries'
+/// answer sizes and or-set placements on the WSDT side changed from seed
+/// to seed, their answer times by up to 2×, and the answer p90 of runs
+/// with different seeds spread twice as far as that of one seed's runs.
+constexpr uint64_t kCensusSeed = 1990;
+constexpr int kWsdtDraws = 4;
+constexpr int kSetupRepeats = 5;
 constexpr int kProbes = 2;
 constexpr double kConfTolerance = 1e-9;
+/// Operations after which peak_rss_mb is read (RssAtWork).
+constexpr uint64_t kRssOps = 4000;
 
-/// One backend's side of the workload.
+/// One session of the workload.
 struct Side {
-  const char* name = "";
+  const char* name = "";  ///< the backend
   rel::Relation base;  ///< the certain census before noise (one-world input)
+  uint64_t noise_seed = 0;
   std::optional<api::Session> session;
   /// Row counts of every query's possible and certain answer, taken at
   /// warm-up: the data never changes, so every request must repeat them.
@@ -65,19 +80,15 @@ struct Side {
 };
 
 struct Setup {
-  Side wsdt;
+  std::vector<Side> wsdt;  ///< kWsdtDraws noise draws of the same records
   Side urel;
-  Side& side(int i) { return i == 0 ? wsdt : urel; }
 };
 
-/// The (backend, query) request mix: index = backend * 6 + (query - 1).
-/// Weights out of 40 per block.
+/// The (backend, query) request mix: index = backend * 6 + (query - 1),
+/// each pair once per block of 12, so that every latency class gets the
+/// same share of the run's samples.
 const std::vector<int>& MixWeights() {
-  static const std::vector<int> kWeights = {
-      // wsdt  Q1 Q2 Q3 Q4 Q5 Q6
-      4, 3, 4, 4, 3, 2,
-      // urel  Q1 Q2 Q3 Q4 Q5 Q6
-      4, 3, 4, 4, 3, 2};
+  static const std::vector<int> kWeights(12, 1);
   return kWeights;
 }
 
@@ -96,15 +107,15 @@ Result<core::Wsdt> MakeChasedWsdt(const census::CensusSchema& schema,
   return wsdt;
 }
 
-Result<Side> BuildSide(const char* name, api::BackendKind kind, size_t rows,
-                       uint64_t seed) {
+Result<Side> BuildSide(const char* name, api::BackendKind kind,
+                       const rel::Relation& base, uint64_t noise_seed) {
   census::CensusSchema schema = census::CensusSchema::Standard();
   Side side;
   side.name = name;
-  side.base = census::GenerateCensus(schema, rows, DataSeed(seed, rows));
+  side.base = base;
+  side.noise_seed = noise_seed;
   MAYWSD_ASSIGN_OR_RETURN(core::Wsdt wsdt,
-                          MakeChasedWsdt(schema, side.base,
-                                         DataSeed(seed, rows + 1)));
+                          MakeChasedWsdt(schema, side.base, noise_seed));
   if (kind == api::BackendKind::kWsdt) {
     side.session = api::Session::Open(std::move(wsdt));
   } else {
@@ -126,12 +137,22 @@ Result<Side> BuildSide(const char* name, api::BackendKind kind, size_t rows,
   return side;
 }
 
-Result<Setup> BuildSetup(uint64_t seed) {
+Result<Setup> BuildSetup() {
+  census::CensusSchema schema = census::CensusSchema::Standard();
   Setup setup;
-  MAYWSD_ASSIGN_OR_RETURN(setup.wsdt, BuildSide("wsdt", api::BackendKind::kWsdt,
-                                                kWsdtRows, seed));
-  MAYWSD_ASSIGN_OR_RETURN(setup.urel, BuildSide("urel", api::BackendKind::kUrel,
-                                                kUrelRows, seed));
+  rel::Relation records = census::GenerateCensus(
+      schema, kWsdtRows, DataSeed(kCensusSeed, kWsdtRows));
+  for (int d = 0; d < kWsdtDraws; ++d) {
+    MAYWSD_ASSIGN_OR_RETURN(
+        Side side, BuildSide("wsdt", api::BackendKind::kWsdt, records,
+                             DataSeed(kCensusSeed, kWsdtRows + 1 + 1000 * d)));
+    setup.wsdt.push_back(std::move(side));
+  }
+  records = census::GenerateCensus(schema, kUrelRows,
+                                   DataSeed(kCensusSeed, kUrelRows));
+  MAYWSD_ASSIGN_OR_RETURN(setup.urel,
+                          BuildSide("urel", api::BackendKind::kUrel, records,
+                                    DataSeed(kCensusSeed, kUrelRows + 1)));
   return setup;
 }
 
@@ -175,12 +196,11 @@ void CheckAgreement(const api::Session& a, const api::Session& b,
   }
 }
 
-/// Rebuilds `side`'s chased WSDT (deterministic in the seed) as a WSDT
-/// session and checks it against the measured session.
-void CheckSide(const Side& side, size_t rows, uint64_t seed,
-               WorkloadResult& result) {
+/// Rebuilds `side`'s chased WSDT (deterministic in its noise seed) as a
+/// WSDT session and checks it against the measured session.
+void CheckSide(const Side& side, WorkloadResult& result) {
   census::CensusSchema schema = census::CensusSchema::Standard();
-  auto wsdt = MakeChasedWsdt(schema, side.base, DataSeed(seed, rows + 1));
+  auto wsdt = MakeChasedWsdt(schema, side.base, side.noise_seed);
   if (!wsdt.ok()) {
     result.Fail("rebuild for check: " + wsdt.status().ToString());
     return;
@@ -195,13 +215,15 @@ void CheckSide(const Side& side, size_t rows, uint64_t seed,
 WorkloadResult RunCensusQuery(const Args& args) {
   WorkloadResult result;
 
-  // -- Set-up, repeated; the last one is measured ---------------------------
+  // -- Set-up, repeated; the median is reported ----------------------------
   std::vector<double> setup_s;
   std::optional<Setup> setup;
+  HostSpeed setup_host;
   for (int i = 0; i < kSetupRepeats; ++i) {
     setup.reset();
+    setup_host.Sample();
     Timer t;
-    auto built = BuildSetup(args.seed);
+    auto built = BuildSetup();
     setup_s.push_back(t.Seconds());
     if (!built.ok()) {
       result.Fail("setup: " + built.status().ToString());
@@ -215,20 +237,24 @@ WorkloadResult RunCensusQuery(const Args& args) {
   // over a TracedOps wrapping the session's own backend (what Session::Run
   // does at threads = 1), and afterwards evaluates the same plan on the
   // certain base with the one-world evaluator.
-  std::array<std::optional<TracedOps>, 2> traced;
+  std::map<const Side*, std::unique_ptr<TracedOps>> traced;
   std::array<rel::Database, 2> oneworld;
   if (args.trace) {
-    for (int b = 0; b < 2; ++b) {
-      traced[b].emplace(setup->side(b).session->ops());
-      oneworld[b].PutRelation(setup->side(b).base);
+    for (Side& side : setup->wsdt) {
+      traced[&side] = std::make_unique<TracedOps>(side.session->ops());
     }
+    traced[&setup->urel] =
+        std::make_unique<TracedOps>(setup->urel.session->ops());
+    oneworld[0].PutRelation(setup->wsdt[0].base);
+    oneworld[1].PutRelation(setup->urel.base);
   }
 
   // -- Closed loop ------------------------------------------------------------
   BlockStream mix(MixWeights(), DataSeed(args.seed, 7));
   Rng probe_rng(DataSeed(args.seed, 11));
-  // Latencies of untraced requests (all of them with tracing off).
-  LatencySample query, answer;
+  // Latencies of untraced requests (all of them with tracing off), by
+  // class: backend.q<i> for queries, kind.backend.q<i> for answers.
+  ClassLatencies query, answer;
   std::array<LayerAcc, 2> acc;
   std::map<int64_t, std::pair<int, int>> traced_requests;  // id → (b, q)
   double mode_ms[2] = {0, 0};  // request time [untraced, traced]
@@ -237,13 +263,17 @@ WorkloadResult RunCensusQuery(const Args& args) {
   uint64_t ops = 0;
   uint64_t probes = 0, repeated_probes = 0;
   std::map<std::string, uint64_t> served;
+  std::array<uint64_t, 7> wsdt_turn{};  // per query: the next WSDT draw
 
+  HostSpeed host;  // the loop's reference samples
+  RssAtWork rss(kRssOps);
   Timer wall;
   while (wall.Seconds() < args.seconds) {
     size_t pick = mix.Next();
     int b = static_cast<int>(pick / 6);
     int q = static_cast<int>(pick % 6) + 1;
-    Side& side = setup->side(b);
+    Side& side = b == 0 ? setup->wsdt[wsdt_turn[q]++ % kWsdtDraws]
+                        : setup->urel;
     api::Session& session = *side.session;
     const std::string label =
         std::string(side.name) + ".q" + std::to_string(q);
@@ -272,12 +302,12 @@ WorkloadResult RunCensusQuery(const Args& args) {
       Timer t;
       if (tr) {
         SpanScope span("engine.evaluate");
-        st = core::engine::Evaluate(*traced[b], plan, out);
+        st = core::engine::Evaluate(*traced.at(&side), plan, out);
       } else {
         st = session.Run(plan, out);
       }
       double ms = t.Millis();
-      if (!tr) query.ms.push_back(ms);
+      if (!tr) query.Add(label, ms);
       request_ops++;
       if (tr) {
         core::store::StoreStats s1 = core::store::GetStoreStats();
@@ -303,7 +333,7 @@ WorkloadResult RunCensusQuery(const Args& args) {
         SpanScope span(std::string("api.answer.") + kind);
         return fn();
       }();
-      if (!tr) answer.ms.push_back(t.Millis());
+      if (!tr) answer.Add(std::string(kind) + "." + label, t.Millis());
       request_ops++;
       if (tr) {
         api::SessionStats s1 = session.Stats();
@@ -359,34 +389,38 @@ WorkloadResult RunCensusQuery(const Args& args) {
         result.Fail(label + " one-world evaluate failed");
       }
     }
+    host.MaybeSample();
+    rss.Observe(ops);
   }
-  const double elapsed = wall.Seconds();
-  const double rss = PeakRssMb();
+  // The loop's own time, without the reference samples taken in it.
+  const double elapsed = wall.Seconds() - host.TotalMs() / 1e3;
   const uint64_t peak_cells = core::store::GetStoreStats().peak_cells;
   result.attempted = ops;
 
   // -- Answer checks -----------------------------------------------------------
   // WSDT and U-relations over the same data: a U-relations twin of the WSDT
   // side, and a WSDT twin of the measured U-relations side.
-  {
-    auto twin = api::Session::Open(api::BackendKind::kUrel,
-                                   *setup->wsdt.session->wsdt());
+  for (const Side& side : setup->wsdt) {
+    auto twin =
+        api::Session::Open(api::BackendKind::kUrel, *side.session->wsdt());
     if (twin.ok()) {
-      CheckAgreement(*setup->wsdt.session, twin.value(), "wsdt vs urel twin",
+      CheckAgreement(*side.session, twin.value(), "wsdt vs urel twin",
                      result);
     } else {
       result.Fail("open urel twin: " + twin.status().ToString());
     }
-    CheckSide(setup->urel, kUrelRows, args.seed, result);
   }
+  CheckSide(setup->urel, result);
 
   // -- Report -------------------------------------------------------------------
   MetricSet& m = result.metrics;
-  m.Put("setup_s", Median(setup_s), "s");
-  m.Put("throughput_ops_s", static_cast<double>(ops) / elapsed, "ops/s");
-  m.Put("peak_rss_mb", rss, "MB");
-  answer.Report("answer", m, &result.thin);
-  query.Report("latency.query", m, &result.thin);
+  const double slow = host.Factor();
+  PutSetup(setup_s, setup_host, result);
+  m.Put("throughput_ops_s", static_cast<double>(ops) / elapsed * slow,
+        "ops/s");
+  m.Put("peak_rss_mb", rss.Mb(), "MB");
+  answer.Report("answer", slow, m, &result.thin);
+  query.Report("latency.query", slow, m, &result.thin);
 
   if (args.trace) {
     // Per (backend) span totals: the evaluate span, its operator children
@@ -473,7 +507,15 @@ WorkloadResult RunCensusQuery(const Args& args) {
     PutTraceOverhead(mode_ops, mode_ms, 1, m);
   }
 
+  host.Describe(result.info);
+  rss.Describe(result.info);
+  size_t catalog = setup->urel.session->RelationNames().size();
+  for (const Side& side : setup->wsdt) {
+    catalog += side.session->RelationNames().size();
+  }
   result.info["census_rows.wsdt"] = std::to_string(kWsdtRows);
+  result.info["wsdt_noise_draws"] = std::to_string(kWsdtDraws);
+  result.info["census_data_seed"] = std::to_string(kCensusSeed);
   result.info["census_rows.urel"] = std::to_string(kUrelRows);
   result.info["placeholder_density"] = "0.001";
   result.info["clients"] = "1";
@@ -490,8 +532,7 @@ WorkloadResult RunCensusQuery(const Args& args) {
                        static_cast<double>(probes)
                  : 0.0);
   result.info["catalog_relations_at_end"] =
-      std::to_string(setup->wsdt.session->RelationNames().size() +
-                     setup->urel.session->RelationNames().size());
+      std::to_string(catalog);
   return result;
 }
 

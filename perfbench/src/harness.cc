@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <unordered_map>
 
 namespace perfbench {
 
@@ -109,13 +110,135 @@ void MetricSet::Put(const std::string& name, double value,
   }
 }
 
-void LatencySample::Report(const std::string& prefix, MetricSet& out,
-                           std::vector<std::string>* thin) const {
-  out.Put(prefix + "_p50_ms", Percentile(ms, 0.5), "ms");
-  out.Put(prefix + "_p90_ms", Percentile(ms, 0.9), "ms");
-  if (!SupportsPercentile(ms.size(), 0.9) && thin != nullptr) {
-    thin->push_back(prefix + " (" + std::to_string(ms.size()) + " samples)");
+void ClassLatencies::Merge(const ClassLatencies& other) {
+  for (const auto& [cls, ms] : other.ms_) {
+    std::vector<double>& mine = ms_[cls];
+    mine.insert(mine.end(), ms.begin(), ms.end());
   }
+}
+
+double ClassLatencies::Summary(double p) const {
+  if (ms_.empty()) return 0.0;
+  double log_sum = 0.0;
+  for (const auto& [cls, ms] : ms_) {
+    log_sum += std::log(std::max(Percentile(ms, p), 1e-9));
+  }
+  return std::exp(log_sum / static_cast<double>(ms_.size()));
+}
+
+void ClassLatencies::Report(const std::string& prefix, double scale,
+                            MetricSet& out,
+                            std::vector<std::string>* thin) const {
+  out.Put(prefix + "_p50_ms", Summary(0.5) / scale, "ms");
+  out.Put(prefix + "_p90_ms", Summary(0.9) / scale, "ms");
+  if (thin == nullptr) return;
+  for (const auto& [cls, ms] : ms_) {
+    if (!SupportsPercentile(ms.size(), 0.9)) {
+      thin->push_back(prefix + "." + cls + " (" + std::to_string(ms.size()) +
+                      " samples)");
+    }
+  }
+}
+
+uint64_t ReferenceCompute() {
+  constexpr size_t kKeys = 1 << 14;
+  std::vector<uint64_t> keys(kKeys);
+  Rng rng(42);
+  for (uint64_t& k : keys) k = rng.Next();
+  std::unordered_map<uint64_t, uint64_t> table;
+  for (size_t i = 0; i < kKeys; ++i) table[keys[i] >> 4] += i;
+  uint64_t sum = 0;
+  for (size_t i = 0; i < kKeys; i += 2) {
+    auto it = table.find(keys[(i * 7) % kKeys] >> 4);
+    if (it != table.end()) sum += it->second;
+  }
+  std::vector<std::string> words;
+  words.reserve(kKeys / 4);
+  for (size_t i = 0; i < kKeys; i += 4) {
+    words.push_back(std::to_string(keys[i]));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::sort(words.begin(), words.end());
+  return sum + keys[kKeys / 2] + words.front().size();
+}
+
+namespace {
+
+const std::vector<uint64_t>& StreamBuffer() {
+  static const std::vector<uint64_t> buffer = [] {
+    std::vector<uint64_t> b((16u << 20) / sizeof(uint64_t));
+    Rng rng(43);
+    for (uint64_t& v : b) v = rng.Next() & 0xff;
+    return b;
+  }();
+  return buffer;
+}
+
+int64_t SteadyNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+uint64_t ReferenceStream() {
+  uint64_t sum = 0;
+  for (uint64_t v : StreamBuffer()) sum += v;
+  return sum;
+}
+
+void HostSpeed::MaybeSample() {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return;
+  if (last_ns_ >= 0 &&
+      static_cast<double>(SteadyNs() - last_ns_) < every_ms_ * 1e6) {
+    return;
+  }
+  lock.unlock();
+  Sample();
+}
+
+void HostSpeed::Sample() {
+  static volatile uint64_t sink = 0;
+  StreamBuffer();  // built on first use, outside the timing
+  const int64_t t0 = SteadyNs();
+  sink = sink + ReferenceCompute();
+  const int64_t t1 = SteadyNs();
+  sink = sink + ReferenceStream();
+  const int64_t t2 = SteadyNs();
+  std::lock_guard<std::mutex> lock(mu_);
+  compute_ms_.push_back(static_cast<double>(t1 - t0) / 1e6);
+  stream_ms_.push_back(static_cast<double>(t2 - t1) / 1e6);
+  last_ns_ = t2;
+}
+
+size_t HostSpeed::Samples() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return compute_ms_.size();
+}
+
+double HostSpeed::TotalMs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  double total = 0.0;
+  for (double ms : compute_ms_) total += ms;
+  for (double ms : stream_ms_) total += ms;
+  return total;
+}
+
+double HostSpeed::Factor() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (compute_ms_.empty()) return 1.0;
+  return std::sqrt(Median(compute_ms_) / kNominalComputeMs *
+                   Median(stream_ms_) / kNominalStreamMs);
+}
+
+void HostSpeed::Describe(std::map<std::string, std::string>& info) const {
+  info["host.factor"] = Num(Factor());
+  std::lock_guard<std::mutex> lock(mu_);
+  info["host.compute_ms"] = Num(Median(compute_ms_));
+  info["host.stream_ms"] = Num(Median(stream_ms_));
+  info["host.samples"] = std::to_string(compute_ms_.size());
 }
 
 uint64_t Rng::Next() {
@@ -248,11 +371,26 @@ void WorkloadResult::Fail(std::string what) {
   if (mismatches.size() < 16) mismatches.push_back(std::move(what));
 }
 
+void PutSetup(const std::vector<double>& setup_s, const HostSpeed& setup_host,
+              WorkloadResult& result) {
+  result.metrics.Put("setup_s", Median(setup_s) / setup_host.Factor(), "s");
+  std::string raw;
+  for (double s : setup_s) raw += (raw.empty() ? "" : " ") + Num(s);
+  result.info["setup.raw_s"] = raw;
+  result.info["setup.host_factor"] = Num(setup_host.Factor());
+}
+
 double PeakRssMb() {
   struct rusage usage;
   std::memset(&usage, 0, sizeof(usage));
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+void RssAtWork::Describe(std::map<std::string, std::string>& info) const {
+  info["rss.at_ops"] = std::to_string(at_ops_);
+  info["rss.reached"] = taken_ ? "true" : "false";
+  info["rss.peak_mb_at_end"] = Num(PeakRssMb());
 }
 
 double Median(std::vector<double> values) {

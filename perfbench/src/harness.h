@@ -78,15 +78,89 @@ class MetricSet {
   std::map<std::string, Metric> metrics_;
 };
 
-/// Latencies of one request class, in milliseconds.
-struct LatencySample {
-  std::vector<double> ms;
+/// Latencies in milliseconds, grouped by request class (for example
+/// "certain.wsdt.q3"). A workload's classes cost from tens of microseconds
+/// to tens of milliseconds, so a percentile of the pooled sample sits in
+/// whichever class's band the mix puts it and jumps between bands when the
+/// data or the host shift slightly. The reported summary is therefore
+/// class-balanced: the geometric mean over classes of each class's own
+/// percentile. A change that makes every class k times faster moves it by
+/// k; one that speeds up a single class of n moves it by that class's
+/// factor to the power 1/n.
+class ClassLatencies {
+ public:
+  void Add(const std::string& cls, double ms) { ms_[cls].push_back(ms); }
+  /// Appends every sample of `other`.
+  void Merge(const ClassLatencies& other);
 
-  /// Puts `<prefix>_p50_ms` and `<prefix>_p90_ms` into `out`. The p90 is
-  /// reported only when the sample supports it (SupportsPercentile);
-  /// otherwise the run is flagged through `*thin` with the class name.
-  void Report(const std::string& prefix, MetricSet& out,
+  /// Geometric mean over classes of each class's p-quantile; 0 when empty.
+  double Summary(double p) const;
+
+  /// Puts `<prefix>_p50_ms` and `<prefix>_p90_ms`, each Summary() scaled
+  /// by `scale` (the host-speed factor). Classes whose sample does not
+  /// support the p90 (SupportsPercentile) are listed in `*thin`.
+  void Report(const std::string& prefix, double scale, MetricSet& out,
               std::vector<std::string>* thin) const;
+
+ private:
+  std::map<std::string, std::vector<double>> ms_;
+};
+
+// -- Host speed -------------------------------------------------------------
+
+/// The two parts of the reference computation, written in the benchmark's
+/// own files so that no change to the program under test can make them
+/// faster or slower. Each returns a checksum, so the work cannot be elided.
+///   Compute: hash-table builds and probes, sorts and string allocations
+///            over about 1.5 MB (fits in a core's L2 cache).
+///   Stream:  a sum over a 16 MB buffer (beyond L2; shared-cache and
+///            memory bandwidth).
+uint64_t ReferenceCompute();
+uint64_t ReferenceStream();
+
+/// Times the reference computation between requests, at most once per
+/// `every_ms`, so that a run can report its times at a fixed host speed.
+///
+/// The benchmark runs on shared virtual machines whose speed for the same
+/// code drifts by ±20% and more over minutes as other tenants come and go;
+/// the whole latency distribution moves, its fastest samples too. The
+/// run's slowdown, Factor(), is the geometric mean over the two parts of
+/// (median time of the run ÷ the part's time on the nominal host). Over
+/// sets of 30 s runs it tracked the workloads better than either part
+/// alone. The end-to-end times are divided by it (throughputs multiplied);
+/// the provenance record keeps it, so the raw values can be recovered.
+class HostSpeed {
+ public:
+  /// The parts' times on the nominal host, a 4-vCPU Intel Xeon (Sapphire
+  /// Rapids, 2.0 GHz) KVM guest: fixed scale constants, the same for every
+  /// commit measured.
+  static constexpr double kNominalComputeMs = 4.0;
+  static constexpr double kNominalStreamMs = 2.5;
+
+  explicit HostSpeed(double every_ms = 250.0) : every_ms_(every_ms) {}
+
+  /// Samples when at least `every_ms` passed since the last sample.
+  /// Thread-safe; a call that finds another thread sampling returns.
+  void MaybeSample();
+  /// Samples now.
+  void Sample();
+
+  size_t Samples() const;
+  /// Time spent in the reference computation so far, in ms.
+  double TotalMs() const;
+  /// 1 when nothing was sampled; above 1 when the host ran slower than
+  /// the nominal one.
+  double Factor() const;
+  /// Puts host.factor, host.compute_ms and host.stream_ms (medians) and
+  /// host.samples into a provenance record; a reported time times
+  /// host.factor is the raw one.
+  void Describe(std::map<std::string, std::string>& info) const;
+
+ private:
+  double every_ms_;
+  mutable std::mutex mu_;
+  std::vector<double> compute_ms_, stream_ms_;
+  int64_t last_ns_ = -1;
 };
 
 // -- Request streams -----------------------------------------------------------
@@ -210,8 +284,41 @@ struct WorkloadResult {
   void Fail(std::string what);
 };
 
+/// Puts setup_s, the median of the run's set-up times divided by the host
+/// factor of the reference samples taken just before them (`setup_host`),
+/// and records the raw times and that factor in the provenance.
+void PutSetup(const std::vector<double>& setup_s, const HostSpeed& setup_host,
+              WorkloadResult& result);
+
 /// Process high-water resident set size in MB (getrusage).
 double PeakRssMb();
+
+/// Process high-water RSS once a loop has completed a fixed number of
+/// operations. Heaps here grow with the work done (belief_game's by about
+/// 7 MB per thousand rounds), so the high-water mark at the end of a timed
+/// run would follow the host's speed; taken at a fixed amount of work it
+/// does not.
+class RssAtWork {
+ public:
+  explicit RssAtWork(uint64_t at_ops) : at_ops_(at_ops) {}
+  /// Takes the reading at the first call with `ops` ≥ the target.
+  void Observe(uint64_t ops) {
+    if (!taken_ && ops >= at_ops_) {
+      mb_ = PeakRssMb();
+      taken_ = true;
+    }
+  }
+  /// The reading, or the current high-water mark when the run ended
+  /// before the target (reported in the provenance by Describe()).
+  double Mb() const { return taken_ ? mb_ : PeakRssMb(); }
+  /// Puts rss.at_ops, rss.reached and rss.peak_mb_at_end.
+  void Describe(std::map<std::string, std::string>& info) const;
+
+ private:
+  uint64_t at_ops_;
+  bool taken_ = false;
+  double mb_ = 0.0;
+};
 
 /// Median of `values` (0 when empty).
 double Median(std::vector<double> values);

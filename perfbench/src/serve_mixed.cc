@@ -1,11 +1,12 @@
 // serve_mixed: a WorldServer under concurrent clients.
 //
 // One session per backend (wsd, wsdt, uniform, urel), each over a
-// registered census relation R, served to min(4, nproc) client threads in
-// a closed loop. Every request the line protocol can express goes
-// FormatRequest → ParseRequest → Execute → FormatResponse; guarded
-// modifies and join / difference plans, which the grammar cannot express,
-// are sent as value-typed Requests straight to Execute.
+// registered census relation R, served to kClients client threads in a
+// closed loop of episodes, each from a fresh server. Every request the
+// line protocol can express goes FormatRequest → ParseRequest → Execute →
+// FormatResponse; guarded modifies and join / difference plans, which the
+// grammar cannot express, are sent as value-typed Requests straight to
+// Execute.
 //
 // The mix is read-heavy (snapshot read, possible, certain, conf) with runs
 // and writes beside the reads. Each session's writes and runs come from
@@ -58,8 +59,18 @@ constexpr size_t kRows = 2000;
 /// for certain(): at 256 rows a select run takes ~0.2 s and certain ~0.5 s,
 /// so its session stays far smaller.
 constexpr size_t kWsdRows = 24;
-constexpr int kMaxClients = 4;
-constexpr int kSetupRepeats = 5;
+/// Two closed-loop clients: on a shared 4-vCPU host, four busy client
+/// threads measured the scheduler more than the server.
+constexpr int kClients = 2;
+/// Requests per client per episode. The server has no drop verb, so every
+/// run leaves its output in the catalog and the WSD and uniform sessions
+/// slow down as it grows; each episode therefore starts from a fresh
+/// server, and the catalog never holds more than one episode's outputs.
+constexpr uint64_t kEpisodeRequests = 320;
+/// Operations after which peak_rss_mb is read (RssAtWork), checked at the
+/// end of each episode.
+constexpr uint64_t kRssOps = 4096;
+constexpr int kSetupRepeats = 9;
 /// Inserted rows carry AGE = kMarkerBase + n (outside the census domain);
 /// the delete kLag inserts later removes row n, so |R| stays near
 /// rows + kLag.
@@ -144,9 +155,11 @@ uint64_t DataSeed(uint64_t seed, uint64_t salt) {
 
 /// Per-thread measurements, merged after the clients join.
 struct ClientStats {
-  /// Query and update latencies count untraced requests only (all of them
-  /// when tracing is off).
-  LatencySample answer, query, update;
+  /// Latencies by class, verb.session (runs: run.<shape>.session). Query
+  /// and update latencies count untraced requests only (all of them when
+  /// tracing is off).
+  ClassLatencies answer, query, update;
+
   uint64_t ops = 0;
   uint64_t updates = 0;
   uint64_t failed = 0;
@@ -217,13 +230,16 @@ class Client {
   /// id % clients; `id` also names its run outputs and seeds its stream.
   Client(int id, int clients, Fixture& fx, uint64_t seed)
       : id_(id),
-        fx_(fx),
+        fx_(&fx),
         mix_(MixWeights(), DataSeed(seed, 100 + id)),
         rng_(DataSeed(seed, 200 + id)) {
     for (int s = 0; s < kNumSessions; ++s) {
       if (s % clients == id % clients) owned_.push_back(s);
     }
   }
+
+  /// Points the client at the next episode's fixture.
+  void Rebind(Fixture& fx) { fx_ = &fx; }
 
   /// Sends one request. In a traced run every other block of the mix
   /// records spans; `attribute_cache` diffs the target session's stats
@@ -236,7 +252,8 @@ class Client {
         static_cast<Verb>(write ? kRun + (pick - kReads) : pick / kNumSessions);
     const int s = write ? owned_[write_turn_++ % owned_.size()]
                         : pick % kNumSessions;
-    Request req = MakeRequest(verb, s);
+    std::string shape;
+    Request req = MakeRequest(verb, s, &shape);
     bool owner = std::find(owned_.begin(), owned_.end(), s) != owned_.end();
     uint64_t hits0 = 0, misses0 = 0;
     if (attribute_cache && !write) StatsOf(s, &hits0, &misses0);
@@ -263,7 +280,7 @@ class Client {
         resp.status = Status::Internal("protocol round trip failed");
       } else {
         SpanScope span(std::string("server.execute.") + ExecVerb(verb));
-        resp = fx_.server->Execute(parsed ? *parsed : req);
+        resp = fx_->server->Execute(parsed ? *parsed : req);
       }
       SpanScope span("protocol.format");
       wire = server::FormatResponse(resp);
@@ -274,17 +291,20 @@ class Client {
     st.mode_ops[traced ? 1 : 0]++;
     st.response_bytes += wire.size();
     st.responses++;
+    const std::string cls =
+        (verb == kRun ? "run." + shape : std::string(kVerbNames[verb])) + "." +
+        kBackends[s].sid;
     switch (ClassOf(verb)) {
       case Class::kAnswer:
-        st.answer.ms.push_back(ms);
+        st.answer.Add(cls, ms);
         st.reads++;
         break;
       case Class::kQuery:
-        if (!traced) st.query.ms.push_back(ms);
+        if (!traced) st.query.Add(cls, ms);
         break;
       case Class::kUpdate:
         st.updates++;
-        if (!traced) st.update.ms.push_back(ms);
+        if (!traced) st.update.Add(cls, ms);
         break;
     }
     if (attribute_cache && !write) {
@@ -301,7 +321,7 @@ class Client {
     }
     if (verb == kRun) st.runs_ok++;
     if (write && verb != kRun) {
-      Status applied = rel::ApplyUpdate(fx_.shadow[s], *req.update);
+      Status applied = rel::ApplyUpdate(fx_->shadow[s], *req.update);
       if (!applied.ok()) Fail(st, "shadow replay: " + applied.ToString());
     }
     if (owner && !write) CheckOwnerRead(verb, s, resp, st);
@@ -314,7 +334,7 @@ class Client {
   }
 
   const rel::Relation& Shadow(int s) const {
-    return *fx_.shadow[s].GetRelation("R").value();
+    return *fx_->shadow[s].GetRelation("R").value();
   }
 
   /// A row of the session's R: the owner knows the current contents; other
@@ -323,14 +343,18 @@ class Client {
     const rel::Relation& r =
         std::find(owned_.begin(), owned_.end(), s) != owned_.end()
             ? Shadow(s)
-            : fx_.base[s];
+            : fx_->base[s];
     return r.row(rng_.Below(r.NumRows())).ToRow();
   }
 
-  Plan RunPlan() {
+  /// The next run plan; its shape (select, project, join, difference)
+  /// goes to `*shape`.
+  Plan RunPlan(std::string* shape) {
     static const char* kAttrs[] = {"FERTIL", "MARITAL", "RSPOUSE", "ENGLISH"};
+    static const char* kShapes[] = {"select", "project", "join", "difference"};
     const char* a = kAttrs[rng_.Below(4)];
     int64_t c = static_cast<int64_t>(rng_.Below(4));
+    *shape = kShapes[runs_ % 4];
     switch (runs_++ % 4) {
       case 0:
         return Plan::Select(Predicate::Cmp(a, CmpOp::kEq, Value::Int(c)),
@@ -364,7 +388,7 @@ class Client {
     }
   }
 
-  Request MakeRequest(Verb verb, int s) {
+  Request MakeRequest(Verb verb, int s, std::string* shape) {
     Request req;
     req.session = kBackends[s].sid;
     req.target = "R";
@@ -384,14 +408,14 @@ class Client {
         break;
       case kRun:
         req.kind = Request::Kind::kRun;
-        req.plan = RunPlan();
+        req.plan = RunPlan(shape);
         req.target = "O" + std::to_string(id_) + "_" + std::to_string(seq_);
         break;
       case kInsert: {
         req.kind = Request::Kind::kApply;
         rel::Relation row(Shadow(s).schema(), "R");
-        std::vector<Value> values = fx_.base[s].row(rng_.Below(
-                                                        fx_.base[s].NumRows()))
+        std::vector<Value> values = fx_->base[s].row(rng_.Below(
+                                                        fx_->base[s].NumRows()))
                                         .ToRow();
         values[AgeColumn(s)] = Value::Int(kMarkerBase + inserts_++);
         row.AppendRow(values);
@@ -427,7 +451,7 @@ class Client {
   }
 
   size_t AgeColumn(int s) const {
-    return fx_.base[s].schema().IndexOf("AGE").value_or(0);
+    return fx_->base[s].schema().IndexOf("AGE").value_or(0);
   }
 
   void CheckOwnerRead(Verb verb, int s, const Response& resp,
@@ -456,7 +480,7 @@ class Client {
     Request req;
     req.kind = Request::Kind::kStats;
     req.session = kBackends[s].sid;
-    Response r = fx_.server->Execute(req);
+    Response r = fx_->server->Execute(req);
     *hits = ParseCounter(r.text, "answer_cache_hits");
     *misses = ParseCounter(r.text, "answer_cache_misses");
   }
@@ -471,7 +495,7 @@ class Client {
 
  private:
   int id_;
-  Fixture& fx_;
+  Fixture* fx_;
   BlockStream mix_;
   Rng rng_;
   std::vector<int> owned_;
@@ -483,18 +507,39 @@ class Client {
   uint64_t owner_reads_ = 0;
 };
 
+/// Every session's possible and certain R equal its shadow.
+void CheckFinalState(Fixture& fx, WorkloadResult& result) {
+  for (int s = 0; s < kNumSessions; ++s) {
+    for (Request::Kind k :
+         {Request::Kind::kPossible, Request::Kind::kCertain}) {
+      Request req;
+      req.kind = k;
+      req.session = kBackends[s].sid;
+      req.target = "R";
+      Response r = fx.server->Execute(req);
+      const rel::Relation& shadow = *fx.shadow[s].GetRelation("R").value();
+      std::string d = r.status.ok() && r.relation
+                          ? CompareSets(*r.relation, shadow)
+                          : "request failed";
+      if (!d.empty()) {
+        result.Fail(std::string("final R on ") + kBackends[s].sid + ": " + d);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 WorkloadResult RunServeMixed(const Args& args) {
   WorkloadResult result;
-  const int clients = std::max(
-      1, std::min<int>(kMaxClients,
-                       static_cast<int>(std::thread::hardware_concurrency())));
+  const int clients = kClients;
 
   std::vector<double> setup_s;
   std::optional<Fixture> fx;
+  HostSpeed setup_host;
   for (int i = 0; i < kSetupRepeats; ++i) {
     fx.reset();
+    setup_host.Sample();
     Timer t;
     auto built = BuildFixture(args.seed);
     setup_s.push_back(t.Seconds());
@@ -512,29 +557,68 @@ WorkloadResult RunServeMixed(const Args& args) {
   std::vector<ClientStats> stats(clients);
   const uint64_t cow0 = core::store::GetStoreStats().cow_breaks;
 
+  // Counters of the concurrent loop, one `stats` request per session at
+  // the end of each episode.
+  uint64_t blocked = 0, server_errors = 0;
+  auto collect = [&] {
+    for (const BackendSpec& b : kBackends) {
+      Request req;
+      req.kind = Request::Kind::kStats;
+      req.session = b.sid;
+      blocked += Client::ParseCounter(fx->server->Execute(req).text,
+                                      "reader_blocked_waits");
+    }
+    server_errors += fx->server->Stats().errors;
+  };
+
+  HostSpeed host;  // the loop's reference samples
+  RssAtWork rss(kRssOps);
+  double between_s = 0;  // episode checks and new fixtures, not measured
+  uint64_t episodes = 0;
+  uint64_t runs_before_episode = 0;  // runs of the episodes before the last
   Timer wall;
-  {
+  while (wall.Seconds() < args.seconds) {
+    if (episodes > 0) {
+      Timer t;
+      collect();
+      CheckFinalState(*fx, result);
+      auto built = BuildFixture(args.seed);
+      if (!built.ok()) {
+        result.Fail("new episode: " + built.status().ToString());
+        break;
+      }
+      fx = std::move(built).value();
+      for (auto& c : pool) c->Rebind(*fx);
+      runs_before_episode = 0;
+      for (const ClientStats& st : stats) runs_before_episode += st.runs_ok;
+      between_s += t.Seconds();
+    }
+    episodes++;
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
-        while (wall.Seconds() < args.seconds) {
+        for (uint64_t i = 0;
+             i < kEpisodeRequests && wall.Seconds() < args.seconds; ++i) {
           pool[c]->Step(args.trace, false, stats[c]);
+          host.MaybeSample();
         }
       });
     }
     for (std::thread& t : threads) t.join();
+    uint64_t ops = 0;
+    for (const ClientStats& st : stats) ops += st.ops;
+    rss.Observe(ops);
   }
-  const double elapsed = wall.Seconds();
-  const double rss = PeakRssMb();
-
+  collect();
+  // The loop's own time: without the work between episodes, and a
+  // reference sample stalls one client of `clients`.
+  const double elapsed = wall.Seconds() - between_s -
+                         host.TotalMs() / 1e3 / clients;
   ClientStats all;
   for (ClientStats& s : stats) {
-    auto cat = [](LatencySample& a, const LatencySample& b) {
-      a.ms.insert(a.ms.end(), b.ms.begin(), b.ms.end());
-    };
-    cat(all.answer, s.answer);
-    cat(all.query, s.query);
-    cat(all.update, s.update);
+    all.answer.Merge(s.answer);
+    all.query.Merge(s.query);
+    all.update.Merge(s.update);
     all.ops += s.ops;
     all.updates += s.updates;
     all.failed += s.failed;
@@ -551,25 +635,20 @@ WorkloadResult RunServeMixed(const Args& args) {
   result.failed = all.failed;
   result.attempted = all.ops;
   const uint64_t cow_breaks = core::store::GetStoreStats().cow_breaks - cow0;
+  // R and PING per session, plus the last episode's run outputs.
+  const uint64_t catalog =
+      2 * kNumSessions + all.runs_ok - runs_before_episode;
 
-  // Counters of the concurrent loop, one `stats` request per session.
-  uint64_t blocked = 0;
-  for (const BackendSpec& b : kBackends) {
-    Request req;
-    req.kind = Request::Kind::kStats;
-    req.session = b.sid;
-    blocked += Client::ParseCounter(fx->server->Execute(req).text,
-                                    "reader_blocked_waits");
-  }
-  const uint64_t server_errors = fx->server->Stats().errors;
 
   MetricSet& m = result.metrics;
-  m.Put("setup_s", Median(setup_s), "s");
-  m.Put("throughput_ops_s", static_cast<double>(all.ops) / elapsed, "ops/s");
-  m.Put("peak_rss_mb", rss, "MB");
-  all.answer.Report("answer", m, &result.thin);
-  all.query.Report("latency.query", m, &result.thin);
-  all.update.Report("latency.update", m, &result.thin);
+  const double slow = host.Factor();
+  PutSetup(setup_s, setup_host, result);
+  m.Put("throughput_ops_s", static_cast<double>(all.ops) / elapsed * slow,
+        "ops/s");
+  m.Put("peak_rss_mb", rss.Mb(), "MB");
+  all.answer.Report("answer", slow, m, &result.thin);
+  all.query.Report("latency.query", slow, m, &result.thin);
+  all.update.Report("latency.update", slow, m, &result.thin);
 
   if (args.trace) {
     std::vector<Span> spans = Tracer::Get().Spans();
@@ -596,8 +675,7 @@ WorkloadResult RunServeMixed(const Args& args) {
                           static_cast<double>(all.reads)
                     : 0.0,
           "count");
-    m.Put("api.catalog_relations",
-          static_cast<double>(2 * kNumSessions + all.runs_ok), "count");
+    m.Put("api.catalog_relations", static_cast<double>(catalog), "count");
     m.Put("store.cow_breaks_per_update",
           all.updates ? static_cast<double>(cow_breaks) /
                             static_cast<double>(all.updates)
@@ -643,27 +721,15 @@ WorkloadResult RunServeMixed(const Args& args) {
     m.Put("api.snapshot_pin_us", Percentile(pin_us, 0.5), "us");
   }
 
-  // Final state: every session's possible and certain R equal its shadow.
-  for (int s = 0; s < kNumSessions; ++s) {
-    for (Request::Kind k :
-         {Request::Kind::kPossible, Request::Kind::kCertain}) {
-      Request req;
-      req.kind = k;
-      req.session = kBackends[s].sid;
-      req.target = "R";
-      Response r = fx->server->Execute(req);
-      std::string d =
-          r.status.ok() && r.relation
-              ? CompareSets(*r.relation,
-                            *fx->shadow[s].GetRelation("R").value())
-              : "request failed";
-      if (!d.empty()) {
-        result.Fail(std::string("final R on ") + kBackends[s].sid + ": " + d);
-      }
-    }
-  }
+  CheckFinalState(*fx, result);
 
+  host.Describe(result.info);
+  rss.Describe(result.info);
   result.info["clients"] = std::to_string(clients);
+  result.info["runs"] = std::to_string(all.runs_ok);
+  result.info["episodes"] = std::to_string(episodes);
+  result.info["requests_per_client_per_episode"] =
+      std::to_string(kEpisodeRequests);
   result.info["rows"] = std::to_string(kRows);
   result.info["rows.wsd"] = std::to_string(kWsdRows);
   std::string mix;
@@ -674,8 +740,7 @@ WorkloadResult RunServeMixed(const Args& args) {
   result.info["mix_weights_per_80"] = mix;
   result.info["requests"] = std::to_string(all.ops);
   result.info["reads"] = std::to_string(all.reads);
-  result.info["catalog_relations_at_end"] =
-      std::to_string(2 * kNumSessions + all.runs_ok);
+  result.info["catalog_relations_at_end"] = std::to_string(catalog);
   result.info["reader_blocked_waits"] = std::to_string(blocked);
   return result;
 }

@@ -2,7 +2,7 @@
 //
 //   census_query  Figure 30 as a closed loop: Q1–Q6 plus the answer surface
 //                 over a chased noisy census on WSDT and U-relations.
-//   serve_mixed   WorldServer under four clients: the line protocol, the
+//   serve_mixed   WorldServer under two clients: the line protocol, the
 //                 registry and session locks, snapshots and the answer
 //                 cache over all four backends.
 //   belief_game   belief::Game with three agents: guarded moves,

@@ -2,6 +2,8 @@
 // validation, request-stream determinism, argument parsing, and the answer
 // checks that turn a perturbed answer into a failed operation.
 
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,15 +44,67 @@ void TestPercentiles() {
   CHECK_EQ(Median({3, 1, 2}), 2.0);
   CHECK_EQ(Median({4, 1, 2, 3}), 2.5);
 
-  // A thin tail is flagged, a sufficient one is not.
+  // A thin tail is flagged per class, a sufficient one is not.
   MetricSet m;
   std::vector<std::string> thin;
-  LatencySample small{std::vector<double>(50, 1.0)};
-  small.Report("small", m, &thin);
-  LatencySample big{std::vector<double>(100, 1.0)};
-  big.Report("big", m, &thin);
+  ClassLatencies lat;
+  for (int i = 0; i < 50; ++i) lat.Add("small", 1.0);
+  for (int i = 0; i < 100; ++i) lat.Add("big", 4.0);
+  lat.Report("answer", 1.0, m, &thin);
   CHECK_EQ(thin.size(), 1u);
-  CHECK(m.all().count("big_p90_ms") == 1);
+  CHECK(thin[0].find("answer.small") == 0);
+  CHECK(m.all().count("answer_p90_ms") == 1);
+  // Class-balanced: the geometric mean of the class percentiles (1 and 4),
+  // whatever the classes' sample counts; divided by the host factor.
+  CHECK(std::fabs(m.all().at("answer_p50_ms").value - 2.0) < 1e-12);
+  MetricSet slow;
+  lat.Report("answer", 2.0, slow, nullptr);
+  CHECK(std::fabs(slow.all().at("answer_p90_ms").value - 1.0) < 1e-12);
+  // Merged samples join their class; a new class joins the mean.
+  ClassLatencies more;
+  for (int i = 0; i < 900; ++i) more.Add("big", 4.0);
+  more.Add("tiny", 0.25);
+  lat.Merge(more);
+  CHECK(std::fabs(lat.Summary(0.5) - 1.0) < 1e-12);
+  CHECK_EQ(ClassLatencies().Summary(0.5), 0.0);
+}
+
+void TestHostSpeed() {
+  // The reference parts are deterministic; the factor is the geometric
+  // mean of each part's median over its nominal time.
+  CHECK_EQ(ReferenceCompute(), ReferenceCompute());
+  CHECK_EQ(ReferenceStream(), ReferenceStream());
+  HostSpeed idle;
+  CHECK_EQ(idle.Factor(), 1.0);
+  HostSpeed host(1e9);
+  host.Sample();
+  host.MaybeSample();  // within the period: no second sample
+  CHECK_EQ(host.Samples(), 1u);
+  std::map<std::string, std::string> info;
+  host.Describe(info);
+  const double compute = std::stod(info.at("host.compute_ms"));
+  const double stream = std::stod(info.at("host.stream_ms"));
+  CHECK(compute > 0 && stream > 0);
+  CHECK(std::fabs(host.Factor() -
+                  std::sqrt(compute / HostSpeed::kNominalComputeMs * stream /
+                            HostSpeed::kNominalStreamMs)) < 1e-9);
+  CHECK(std::fabs(host.TotalMs() - compute - stream) < 1e-9);
+
+  // setup_s: the median set-up over the set-up factor, raw times kept.
+  WorkloadResult r;
+  PutSetup({3.0, 1.0, 2.0}, idle, r);
+  CHECK_EQ(r.metrics.all().at("setup_s").value, 2.0);
+  CHECK(r.info.at("setup.raw_s") == "3 1 2");
+
+  // peak RSS is read once, at the first observation past the target.
+  RssAtWork rss(10);
+  rss.Observe(9);
+  rss.Describe(info);
+  CHECK(info.at("rss.reached") == "false");
+  rss.Observe(10);
+  rss.Describe(info);
+  CHECK(info.at("rss.reached") == "true");
+  CHECK(rss.Mb() > 0);
 }
 
 void TestMetricNames() {
@@ -165,6 +219,7 @@ void TestPerturbedAnswersFail() {
 
 int main() {
   TestPercentiles();
+  TestHostSpeed();
   TestMetricNames();
   TestStreams();
   TestArgs();
