@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "census/dependencies.h"
@@ -30,6 +31,23 @@ inline double ScaleFactor() {
   if (env == nullptr) return 1.0;
   double v = std::atof(env);
   return v > 0 ? v : 1.0;
+}
+
+/// Writes the `"host": {...},` member of a harness's JSON document: the
+/// hardware concurrency, the build type and the MAYWSD_SCALE multiplier,
+/// so a recorded number names the host and build it came from.
+inline void WriteHostJson(std::FILE* f) {
+#ifdef MAYWSD_BUILD_TYPE
+  const char* build_type = MAYWSD_BUILD_TYPE;
+#else
+  const char* build_type = "";
+#endif
+  std::fprintf(f,
+               "  \"host\": {\"hardware_concurrency\": %u, "
+               "\"build_type\": \"%s\", \"scale\": %g},\n",
+               std::thread::hardware_concurrency(),
+               *build_type != '\0' ? build_type : "unspecified",
+               ScaleFactor());
 }
 
 /// The paper's size ticks (in tuples), scaled 1/100 by default:

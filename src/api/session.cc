@@ -19,6 +19,7 @@
 #include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/component_store.h"
+#include "core/confidence.h"
 #include "core/uniform.h"
 
 namespace maywsd::api {
@@ -417,37 +418,57 @@ namespace {
 // references are never held across the unlock — the map may rehash.
 
 /// Relation-level answers (possible / possible-with-conf / certain).
+/// `derive`, if set, maps a memoized possible-with-confidence answer of the
+/// relation to this one; when that answer is there it is used instead of
+/// the backend, copied (O(1), copy-on-write) under the lock and mapped
+/// outside it, and the call counts as a hit.
 template <typename Fn>
 Result<rel::Relation> MemoizedRelationAnswer(
     std::mutex& mu, SessionStats& stats,
     std::unordered_map<std::string, AnswerEntry>& answers,
     const std::string& relation,
-    std::optional<rel::Relation> AnswerEntry::* slot, Fn&& compute) {
+    std::optional<rel::Relation> AnswerEntry::* slot, Fn&& compute,
+    const std::function<rel::Relation(const rel::Relation&)>& derive = {}) {
+  std::optional<rel::Relation> graded;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = answers.find(relation);
-    if (it != answers.end() && it->second.*slot) {
-      stats.answer_cache_hits++;
-      return *(it->second.*slot);
+    if (it != answers.end()) {
+      if (it->second.*slot) {
+        stats.answer_cache_hits++;
+        return *(it->second.*slot);
+      }
+      if (derive) graded = it->second.possible_conf;
     }
   }
-  MAYWSD_ASSIGN_OR_RETURN(rel::Relation out, compute());
+  std::optional<rel::Relation> out;
+  if (graded) {
+    out = derive(*graded);
+  } else {
+    MAYWSD_ASSIGN_OR_RETURN(out, compute());
+  }
   std::lock_guard<std::mutex> lock(mu);
-  stats.answer_cache_misses++;
+  ++(graded ? stats.answer_cache_hits : stats.answer_cache_misses);
   AnswerEntry& entry = answers[relation];
   if (!(entry.*slot)) entry.*slot = std::move(out);
   return *(entry.*slot);
 }
 
-/// Per-tuple answers (confidence / certainty).
+/// Per-tuple answers (confidence / certainty). `derive`, if set, answers
+/// from a memoized possible-with-confidence of the relation as in
+/// MemoizedRelationAnswer (std::nullopt: not derivable, ask the backend);
+/// derived answers are not published.
 template <typename V, typename Fn>
 Result<V> MemoizedTupleAnswer(
     std::mutex& mu, SessionStats& stats,
     std::unordered_map<std::string, AnswerEntry>& answers,
     const std::string& relation,
     std::map<std::vector<rel::Value>, V, TupleLess> AnswerEntry::* slot,
-    std::span<const rel::Value> tuple, Fn&& compute) {
+    std::span<const rel::Value> tuple, Fn&& compute,
+    const std::function<std::optional<V>(const rel::Relation&)>& derive =
+        {}) {
   std::vector<rel::Value> key(tuple.begin(), tuple.end());
+  std::optional<rel::Relation> graded;
   {
     std::lock_guard<std::mutex> lock(mu);
     auto it = answers.find(relation);
@@ -457,6 +478,14 @@ Result<V> MemoizedTupleAnswer(
         stats.answer_cache_hits++;
         return hit->second;
       }
+      if (derive) graded = it->second.possible_conf;
+    }
+  }
+  if (graded) {
+    if (std::optional<V> derived = derive(*graded)) {
+      std::lock_guard<std::mutex> lock(mu);
+      stats.answer_cache_hits++;
+      return *derived;
     }
   }
   MAYWSD_ASSIGN_OR_RETURN(V out, compute());
@@ -464,6 +493,51 @@ Result<V> MemoizedTupleAnswer(
   stats.answer_cache_misses++;
   (answers[relation].*slot).emplace(std::move(key), out);
   return out;
+}
+
+/// certain(R) from possibleᵖ(R): the tuples with conf ≥ kCertainConfidence,
+/// with R's schema and the backends' name for the answer.
+rel::Relation CertainFromGraded(const rel::Relation& graded,
+                                const std::string& relation) {
+  const std::vector<rel::Attribute>& attrs = graded.schema().attrs();
+  size_t arity = attrs.size() - 1;
+  rel::Relation out(
+      rel::Schema(std::vector<rel::Attribute>(attrs.begin(), attrs.end() - 1)),
+      "certain_" + relation);
+  for (size_t i = 0; i < graded.NumRows(); ++i) {
+    rel::TupleRef row = graded.row(i);
+    if (row[arity].AsDouble() >= core::kCertainConfidence) {
+      out.AppendRow({row.data(), arity});
+    }
+  }
+  return out;
+}
+
+/// conf(t) from possibleᵖ(R), which is sorted by tuple: t's conf column
+/// by binary search, 0 if t is not possible; std::nullopt on an arity
+/// mismatch (the backend reports the error).
+std::optional<double> ConfFromGraded(const rel::Relation& graded,
+                                     std::span<const rel::Value> tuple) {
+  size_t arity = graded.arity() - 1;
+  if (tuple.size() != arity) return std::nullopt;
+  rel::TupleRef probe(tuple.data(), arity);
+  auto key = [&](size_t i) {
+    return rel::TupleRef(graded.row(i).data(), arity);
+  };
+  size_t lo = 0;
+  size_t hi = graded.NumRows();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (key(mid).Compare(probe) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo < graded.NumRows() && key(lo) == probe) {
+    return graded.row(lo)[arity].AsDouble();
+  }
+  return 0.0;
 }
 
 }  // namespace
@@ -498,7 +572,10 @@ Result<rel::Relation> Session::CertainTuples(std::string_view relation) const {
   return MemoizedRelationAnswer(
       rep_->cache_mu, rep_->stats, rep_->answers, rel_name,
       &AnswerEntry::certain,
-      [&] { return rep_->backend->CertainTuples(rel_name); });
+      [&] { return rep_->backend->CertainTuples(rel_name); },
+      [&](const rel::Relation& graded) {
+        return CertainFromGraded(graded, rel_name);
+      });
 }
 
 Result<double> Session::TupleConfidence(
@@ -511,7 +588,10 @@ Result<double> Session::TupleConfidence(
   return MemoizedTupleAnswer<double>(
       rep_->cache_mu, rep_->stats, rep_->answers, rel_name,
       &AnswerEntry::confidence, tuple,
-      [&] { return rep_->backend->TupleConfidence(rel_name, tuple); });
+      [&] { return rep_->backend->TupleConfidence(rel_name, tuple); },
+      [&](const rel::Relation& graded) {
+        return ConfFromGraded(graded, tuple);
+      });
 }
 
 Result<bool> Session::TupleCertain(std::string_view relation,

@@ -98,8 +98,11 @@ struct SessionStats {
   /// Snapshot's own stats: no writer ever touches a snapshot's private
   /// copy.
   uint64_t reader_blocked_waits = 0;
-  uint64_t answer_cache_hits = 0;    ///< memoized answer-surface hits
-  uint64_t answer_cache_misses = 0;  ///< memoized answer-surface misses
+  /// Answer-surface calls served from memoized answers (including certain
+  /// and conf(t) derived from a memoized possible-with-confidence) and
+  /// calls that went to the backend; each call counts once.
+  uint64_t answer_cache_hits = 0;
+  uint64_t answer_cache_misses = 0;
   /// ApplyAll guard sharing: world conditions actually evaluated + copied
   /// versus updates served by a batch-cached guard (structurally equal
   /// conditions share one materialization until an applied update mutates
@@ -260,7 +263,12 @@ class Session {
   //
   // With options().cache, answers are memoized per (relation, version) and
   // served from the cache until an Apply/Run invalidates the relation;
-  // Stats() exposes the hit/miss counters.
+  // Stats() exposes the hit/miss counters. CertainTuples and
+  // TupleConfidence are also answered from a memoized
+  // PossibleTuplesWithConfidence of the same version when there is one
+  // (certain = conf ≥ core::kCertainConfidence; conf(t) is t's conf
+  // column, 0 if t is not possible), counted as hits. They never compute
+  // possible-with-confidence themselves.
 
   /// possible(R): tuples appearing in at least one world.
   Result<rel::Relation> PossibleTuples(std::string_view relation) const;

@@ -279,7 +279,7 @@ Result<bool> TupleCertain(const Wsd& wsd, const std::string& relation,
                           std::span<const rel::Value> tuple) {
   MAYWSD_ASSIGN_OR_RETURN(double conf,
                           TupleConfidence(wsd, relation, tuple));
-  return conf >= 1.0 - 1e-9;
+  return conf >= kCertainConfidence;
 }
 
 Result<rel::Relation> CertainTuples(const Wsd& wsd,

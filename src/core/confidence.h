@@ -28,6 +28,10 @@ namespace maywsd::core {
 /// Guard for the tuple-level normalization blow-up.
 inline constexpr uint64_t kMaxTupleLevelWorlds = 1u << 22;
 
+/// Every backend's certain answers are its possible tuples with conf at
+/// least this (1 up to rounding in the confidence sums).
+inline constexpr double kCertainConfidence = 1.0 - 1e-9;
+
 /// conf(t): probability that `tuple` ∈ R in a random world (Figure 17).
 Result<double> TupleConfidence(const Wsd& wsd, const std::string& relation,
                                std::span<const rel::Value> tuple);

@@ -154,31 +154,31 @@ void UniformBackend::Compact() { (void)UniformCompact(*db_); }
 
 Result<rel::Relation> UniformBackend::PossibleTuples(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import(relation));
   return WsdtPossibleTuples(wsdt, relation);
 }
 
 Result<rel::Relation> UniformBackend::PossibleTuplesWithConfidence(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import(relation));
   return WsdtPossibleTuplesWithConfidence(wsdt, relation);
 }
 
 Result<rel::Relation> UniformBackend::CertainTuples(
     const std::string& relation) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import(relation));
   return WsdtCertainTuples(wsdt, relation);
 }
 
 Result<double> UniformBackend::TupleConfidence(
     const std::string& relation, std::span<const rel::Value> tuple) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import(relation));
   return WsdtTupleConfidence(wsdt, relation, tuple);
 }
 
 Result<bool> UniformBackend::TupleCertain(
     const std::string& relation, std::span<const rel::Value> tuple) const {
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import());
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Import(relation));
   return WsdtTupleCertain(wsdt, relation, tuple);
 }
 
@@ -193,7 +193,13 @@ Result<std::unique_ptr<ShardPlan>> UniformBackend::PlanShards(
   return MakeUniformShardPlan(*db_, req);
 }
 
-Result<Wsdt> UniformBackend::Import() const { return ImportUniform(*db_); }
+Result<Wsdt> UniformBackend::Import(const std::string& relation) const {
+  // C/F/W are not answerable relations (NotFound, like unknown names).
+  if (IsSystemRelation(relation)) {
+    return Status::NotFound("template relation " + relation);
+  }
+  return ImportUniform(*db_, {relation});
+}
 
 Status UniformBackend::Fallback(const std::function<Status(Wsdt&)>& op) {
   MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, ImportUniform(*db_));

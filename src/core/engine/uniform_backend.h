@@ -96,8 +96,9 @@ class UniformBackend : public WorldSetOps {
   uint64_t RoundTrips() const override { return round_trips_; }
 
  private:
-  /// Imports the whole store as a WSDT (templates stripped of __TID).
-  Result<Wsdt> Import() const;
+  /// Imports `relation` alone as a WSDT (its template stripped of __TID,
+  /// with only its own component fields): exact for answers on it.
+  Result<Wsdt> Import(const std::string& relation) const;
 
   /// Runs `op` on the imported WSDT and re-exports the store — the
   /// template-semantics fallback for non-relational operators.

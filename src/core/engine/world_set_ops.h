@@ -201,7 +201,8 @@ class WorldSetOps {
       const std::string& relation) const = 0;
 
   /// possibleᵖ(R): possible tuples with a trailing "conf" column
-  /// (Figure 19).
+  /// (Figure 19), one row per tuple, sorted — api::Session answers
+  /// certain(R) and conf(t) from it by filtering and binary search.
   virtual Result<rel::Relation> PossibleTuplesWithConfidence(
       const std::string& relation) const = 0;
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "rel/eval.h"
@@ -206,7 +207,9 @@ Result<rel::Database> ExportUniform(const Wsdt& wsdt) {
 
 Result<Wsdt> ImportUniform(const rel::Database& db,
                            std::vector<std::string> templates) {
-  if (templates.empty()) {
+  // With an explicit list, C/F rows of other relations are skipped.
+  const bool scoped = !templates.empty();
+  if (!scoped) {
     for (const std::string& name : db.Names()) {
       if (name != kUniformC && name != kUniformF && name != kUniformW) {
         templates.push_back(name);
@@ -215,7 +218,8 @@ Result<Wsdt> ImportUniform(const rel::Database& db,
   }
   Wsdt wsdt;
   // Template relations: strip the TID column; remember tid → row mapping.
-  std::map<std::pair<std::string, int64_t>, TupleId> tid_map;
+  std::set<Symbol> in_scope;
+  std::map<std::pair<Symbol, int64_t>, TupleId> tid_map;
   for (const std::string& name : templates) {
     MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* in, db.GetRelation(name));
     auto tid_idx = in->schema().IndexOf(kTidColumn);
@@ -227,8 +231,10 @@ Result<Wsdt> ImportUniform(const rel::Database& db,
                                       in->schema().attrs().end());
     rel::Relation tmpl{rel::Schema(std::move(attrs)), name};
     std::vector<rel::Value> row(tmpl.arity());
+    Symbol sym = InternString(name);
+    in_scope.insert(sym);
     for (size_t r = 0; r < in->NumRows(); ++r) {
-      tid_map[{name, in->row(r)[0].AsInt()}] = static_cast<TupleId>(r);
+      tid_map[{sym, in->row(r)[0].AsInt()}] = static_cast<TupleId>(r);
       for (size_t a = 0; a < tmpl.arity(); ++a) row[a] = in->row(r)[a + 1];
       tmpl.AppendRow(row);
     }
@@ -240,22 +246,29 @@ Result<Wsdt> ImportUniform(const rel::Database& db,
                           db.GetRelation(kUniformC));
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* w_rel,
                           db.GetRelation(kUniformW));
+  // Row of the template tuple a C/F row references; nullopt for a skipped
+  // out-of-scope relation.
+  auto resolve = [&](rel::TupleRef row,
+                     const char* what) -> Result<std::optional<TupleId>> {
+    Symbol rel_sym = row[0].AsSymbol();
+    if (scoped && !in_scope.count(rel_sym)) return std::optional<TupleId>();
+    auto it = tid_map.find({rel_sym, row[1].AsInt()});
+    if (it == tid_map.end()) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " references unknown tuple in " +
+                                     std::string(SymbolName(rel_sym)));
+    }
+    return std::optional<TupleId>(it->second);
+  };
 
   // Group fields by CID (sorted for determinism).
   std::map<int64_t, std::vector<FieldKey>> comp_fields;
-  std::map<int64_t, std::map<std::pair<std::string, std::string>,
-                             std::pair<int64_t, TupleId>>> unused;
-  (void)unused;
   for (size_t r = 0; r < f_rel->NumRows(); ++r) {
     rel::TupleRef row = f_rel->row(r);
-    std::string rel_name(row[0].AsStringView());
-    auto it = tid_map.find({rel_name, row[1].AsInt()});
-    if (it == tid_map.end()) {
-      return Status::InvalidArgument("F references unknown tuple in " +
-                                     rel_name);
-    }
+    MAYWSD_ASSIGN_OR_RETURN(std::optional<TupleId> tid, resolve(row, "F"));
+    if (!tid) continue;
     comp_fields[row[3].AsInt()].push_back(
-        FieldKey(InternString(rel_name), it->second, row[2].AsSymbol()));
+        FieldKey(row[0].AsSymbol(), *tid, row[2].AsSymbol()));
   }
   for (auto& [cid, fields] : comp_fields) {
     std::sort(fields.begin(), fields.end());
@@ -274,14 +287,10 @@ Result<Wsdt> ImportUniform(const rel::Database& db,
   std::map<std::tuple<Symbol, TupleId, Symbol, int64_t>, rel::Value> values;
   for (size_t r = 0; r < c_rel->NumRows(); ++r) {
     rel::TupleRef row = c_rel->row(r);
-    std::string rel_name(row[0].AsStringView());
-    auto it = tid_map.find({rel_name, row[1].AsInt()});
-    if (it == tid_map.end()) {
-      return Status::InvalidArgument("C references unknown tuple in " +
-                                     rel_name);
-    }
-    values[{InternString(rel_name), it->second, row[2].AsSymbol(),
-            row[3].AsInt()}] = row[4];
+    MAYWSD_ASSIGN_OR_RETURN(std::optional<TupleId> tid, resolve(row, "C"));
+    if (!tid) continue;
+    values[{row[0].AsSymbol(), *tid, row[2].AsSymbol(), row[3].AsInt()}] =
+        row[4];
   }
   for (const auto& [cid, fields] : comp_fields) {
     auto worlds_it = comp_worlds.find(cid);

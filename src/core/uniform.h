@@ -47,7 +47,10 @@ inline constexpr const char* kTidColumn = "__TID";
 Result<rel::Database> ExportUniform(const Wsdt& wsdt);
 
 /// Rebuilds a WSDT from a uniform database. `templates` lists the template
-/// relation names (defaults to every relation except C, F, W).
+/// relation names (defaults to every relation except C, F, W). With a list,
+/// C and F rows of other relations are skipped: a component spanning a
+/// listed and an unlisted relation keeps only the listed fields, which is
+/// exact for any answer over the listed relations.
 Result<Wsdt> ImportUniform(const rel::Database& db,
                            std::vector<std::string> templates = {});
 

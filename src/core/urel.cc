@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "core/component.h"
+#include "core/confidence.h"
 #include "core/field.h"
 
 namespace maywsd::core {
@@ -657,7 +658,7 @@ Result<rel::Relation> UrelCertainTuples(const Urel& u,
     descs.reserve(rows.size());
     for (size_t i : rows) descs.push_back(r->Descriptor(i));
     MAYWSD_ASSIGN_OR_RETURN(double conf, DescriptorUnionProbability(u, descs));
-    if (conf < 1.0 - 1e-9) continue;
+    if (conf < kCertainConfidence) continue;
     row.resize(key.size());
     for (size_t a = 0; a < key.size(); ++a) row[a] = u.ValueAt(key[a]);
     out.AppendRow(row);
@@ -691,7 +692,7 @@ Result<double> UrelTupleConfidence(const Urel& u, const std::string& relation,
 Result<bool> UrelTupleCertain(const Urel& u, const std::string& relation,
                               std::span<const rel::Value> tuple) {
   MAYWSD_ASSIGN_OR_RETURN(double conf, UrelTupleConfidence(u, relation, tuple));
-  return conf >= 1.0 - 1e-9;
+  return conf >= kCertainConfidence;
 }
 
 // -- Conversions -------------------------------------------------------------

@@ -7,6 +7,14 @@
 // census scale where Wsd-level confidence would first materialize millions
 // of singleton components.
 //
+// The relation-level answers (possible, possible-with-confidence, certain)
+// share one grouped pass: each template row is instantiated once, the
+// instantiations are grouped by tuple in a hash index over the distinct
+// tuples, and confidence is computed only for tuples no certain row
+// produces, over just the rows that produce them. The cost is one
+// instantiation per (row, local world) plus one composition per uncertain
+// tuple, instead of a template scan per possible tuple.
+//
 // These free functions are the WSDT implementation behind the engine's
 // answer surface (WorldSetOps::PossibleTuples/CertainTuples/…) — the
 // uniform backend delegates here too after importing its store; callers
@@ -20,6 +28,7 @@
 
 #include "common/status.h"
 #include "rel/relation.h"
+#include "core/confidence.h"
 #include "core/wsdt.h"
 
 namespace maywsd::core {
@@ -37,12 +46,14 @@ Result<rel::Relation> WsdtPossibleTuples(const Wsdt& wsdt,
 Result<rel::Relation> WsdtPossibleTuplesWithConfidence(
     const Wsdt& wsdt, const std::string& relation);
 
-/// certain(t) on a WSDT: true iff conf(t) = 1 (t occurs in every world).
+/// certain(t) on a WSDT: true iff conf(t) ≥ kCertainConfidence (t occurs
+/// in every world).
 Result<bool> WsdtTupleCertain(const Wsdt& wsdt, const std::string& relation,
                               std::span<const rel::Value> tuple);
 
-/// certain(R) on a WSDT: the tuples occurring in every world — the
-/// consistent answers of Section 10, without expanding certain fields.
+/// certain(R) on a WSDT: the possible tuples with conf ≥ kCertainConfidence
+/// — the consistent answers of Section 10, without expanding certain
+/// fields.
 Result<rel::Relation> WsdtCertainTuples(const Wsdt& wsdt,
                                         const std::string& relation);
 

@@ -274,5 +274,123 @@ TEST(SessionTest, UniformSessionKeepsStoreImportable) {
   EXPECT_TRUE(back->Validate().ok());
 }
 
+// -- certain / conf(t) derived from a memoized possible-with-confidence -------
+
+/// Every possible tuple of `graded` (the conf column dropped) plus one tuple
+/// no world holds.
+std::vector<std::vector<rel::Value>> ProbeTuples(const rel::Relation& graded) {
+  std::vector<std::vector<rel::Value>> probes;
+  size_t arity = graded.arity() - 1;
+  for (size_t i = 0; i < graded.NumRows(); ++i) {
+    rel::TupleRef row = graded.row(i);
+    probes.emplace_back(row.data(), row.data() + arity);
+  }
+  probes.emplace_back(arity, I(99));
+  return probes;
+}
+
+/// Asks `session` for certain(R) and conf(t) of every probe, checking each
+/// call against the cache-off `raw` twin and that it counts exactly one
+/// hit or miss; returns how many of the calls were hits.
+uint64_t CheckDerivedAnswers(const Session& session, const Session& raw,
+                             const std::string& relation) {
+  auto expected_graded = raw.PossibleTuplesWithConfidence(relation);
+  auto expected_certain = raw.CertainTuples(relation);
+  EXPECT_TRUE(expected_graded.ok() && expected_certain.ok());
+  if (!expected_graded.ok() || !expected_certain.ok()) return 0;
+  uint64_t hits = 0;
+  auto count_one = [&](const SessionStats& before) {
+    SessionStats after = session.Stats();
+    uint64_t h = after.answer_cache_hits - before.answer_cache_hits;
+    EXPECT_EQ(h + after.answer_cache_misses - before.answer_cache_misses, 1u);
+    hits += h;
+  };
+
+  SessionStats before = session.Stats();
+  auto certain = session.CertainTuples(relation);
+  count_one(before);
+  EXPECT_TRUE(certain.ok());
+  if (certain.ok()) {
+    EXPECT_EQ(certain->schema(), expected_certain->schema());
+    EXPECT_EQ(certain->data(), expected_certain->data());
+  }
+  for (const std::vector<rel::Value>& t : ProbeTuples(*expected_graded)) {
+    auto want = raw.TupleConfidence(relation, t);
+    before = session.Stats();
+    auto got = session.TupleConfidence(relation, t);
+    count_one(before);
+    EXPECT_TRUE(want.ok() && got.ok());
+    if (want.ok() && got.ok()) {
+      EXPECT_NEAR(*got, *want, 1e-12);
+    }
+  }
+  return hits;
+}
+
+TEST(SessionTest, DerivedCertainAndConfMatchBackendAnswers) {
+  Rng rng(4242);
+  std::vector<testutil::RelSpec> specs = {{"R", {"A", "B"}, 3, 3}};
+  for (int round = 0; round < 4; ++round) {
+    Wsd wsd = testutil::RandomWsd(rng, specs, 3);
+    for (BackendKind kind : testutil::AllBackendKinds()) {
+      SCOPED_TRACE(::testing::Message()
+                   << BackendKindName(kind) << " round " << round);
+      Session raw = testutil::OpenSessionOver(kind, wsd, {.cache = false})
+                        .value();
+      size_t probes = ProbeTuples(*raw.PossibleTuplesWithConfidence("R"))
+                          .size();
+
+      // possible_conf first: certain and every conf(t) are derived from
+      // it, all hits, and nothing else reaches the backend.
+      Session graded_first = testutil::OpenSessionOver(kind, wsd).value();
+      ASSERT_TRUE(graded_first.PossibleTuplesWithConfidence("R").ok());
+      EXPECT_EQ(CheckDerivedAnswers(graded_first, raw, "R"), 1 + probes);
+      EXPECT_EQ(graded_first.Stats().answer_cache_misses, 1u);
+
+      // certain and conf(t) first: each goes to the backend and none of
+      // them publishes a possible-with-confidence nobody asked for.
+      Session answers_first = testutil::OpenSessionOver(kind, wsd).value();
+      EXPECT_EQ(CheckDerivedAnswers(answers_first, raw, "R"), 0u);
+      SessionStats before = answers_first.Stats();
+      ASSERT_TRUE(answers_first.PossibleTuplesWithConfidence("R").ok());
+      EXPECT_EQ(answers_first.Stats().answer_cache_misses,
+                before.answer_cache_misses + 1);
+      // Now memoized: certain and conf(t) are served without the backend.
+      EXPECT_EQ(CheckDerivedAnswers(answers_first, raw, "R"), 1 + probes);
+    }
+  }
+}
+
+TEST(SessionTest, DerivedAnswersNeverOutliveAnApply) {
+  Rng rng(5150);
+  std::vector<testutil::RelSpec> specs = {{"R", {"A", "B"}, 3, 3}};
+  Wsd wsd = testutil::RandomWsd(rng, specs, 3);
+  std::vector<rel::UpdateOp> updates = {
+      rel::UpdateOp::DeleteWhere("R", Predicate::Cmp("B", CmpOp::kLt, I(1))),
+      rel::UpdateOp::InsertTuples(
+          "R", [] {
+            rel::Relation r(rel::Schema::FromNames({"A", "B"}), "R");
+            r.AppendRow({I(0), I(2)});
+            return r;
+          }())};
+  for (BackendKind kind : testutil::AllBackendKinds()) {
+    SCOPED_TRACE(std::string(BackendKindName(kind)));
+    Session session = testutil::OpenSessionOver(kind, wsd).value();
+    Session raw =
+        testutil::OpenSessionOver(kind, wsd, {.cache = false}).value();
+    ASSERT_TRUE(session.PossibleTuplesWithConfidence("R").ok());
+    CheckDerivedAnswers(session, raw, "R");
+    for (const rel::UpdateOp& op : updates) {
+      ASSERT_TRUE(session.Apply(op).ok());
+      ASSERT_TRUE(raw.Apply(op).ok());
+      // The memoized answers of the old version are gone: certain and
+      // conf(t) go to the backend until possible_conf is asked again.
+      EXPECT_EQ(CheckDerivedAnswers(session, raw, "R"), 0u);
+      ASSERT_TRUE(session.PossibleTuplesWithConfidence("R").ok());
+      CheckDerivedAnswers(session, raw, "R");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace maywsd::api

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "census/ipums.h"
 #include "census/noise.h"
 #include "core/engine/plan_driver.h"
 #include "core/engine/uniform_backend.h"
 #include "core/wsdt_algebra.h"
+#include "core/wsdt_confidence.h"
 #include "core/worldset.h"
 #include "tests/test_util.h"
 
@@ -242,6 +245,83 @@ TEST(UniformTest, ImportRejectsDanglingReferences) {
   rel::Relation* f = db.GetMutableRelation(kUniformF).value();
   f->AppendRow({S("R"), I(99), S("S"), I(0)});
   EXPECT_FALSE(ImportUniform(db).ok());
+}
+
+TEST(UniformTest, ScopedImportEqualsFullImportOnItsRelation) {
+  // One component spans R.A (two tuples) and S.C, another R.B and S.D:
+  // importing R alone drops S's fields from both and must leave every
+  // answer on R unchanged.
+  Wsdt wsdt;
+  rel::Relation r(rel::Schema::FromNames({"A", "B"}), "R");
+  r.AppendRow({Q(), Q()});
+  r.AppendRow({Q(), I(7)});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(r)).ok());
+  rel::Relation s(rel::Schema::FromNames({"C", "D"}), "S");
+  s.AppendRow({Q(), Q()});
+  ASSERT_TRUE(wsdt.AddTemplateRelation(std::move(s)).ok());
+  Component c1({FieldKey("R", 0, "A"), FieldKey("R", 1, "A"),
+                FieldKey("S", 0, "C")});
+  c1.AddWorld({I(1), I(2), I(3)}, 0.5);
+  c1.AddWorld({I(1), testutil::Bot(), I(4)}, 0.3);
+  c1.AddWorld({I(2), I(1), I(3)}, 0.2);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(c1)).ok());
+  Component c2({FieldKey("R", 0, "B"), FieldKey("S", 0, "D")});
+  c2.AddWorld({I(7), I(8)}, 0.6);
+  c2.AddWorld({I(9), I(8)}, 0.4);
+  ASSERT_TRUE(wsdt.AddComponent(std::move(c2)).ok());
+  ASSERT_TRUE(wsdt.Validate().ok());
+
+  auto db = ExportUniform(wsdt);
+  ASSERT_TRUE(db.ok());
+  auto full = ImportUniform(*db);
+  auto scoped = ImportUniform(*db, {"R"});
+  ASSERT_TRUE(full.ok() && scoped.ok()) << scoped.status();
+  ASSERT_TRUE(scoped->Validate().ok());
+  EXPECT_FALSE(scoped->HasRelation("S"));
+  EXPECT_FALSE(scoped->HasField(FieldKey("S", 0, "C")));
+  EXPECT_EQ(scoped->Template("R").value()->data(),
+            full->Template("R").value()->data());
+
+  auto full_graded = WsdtPossibleTuplesWithConfidence(*full, "R");
+  auto scoped_graded = WsdtPossibleTuplesWithConfidence(*scoped, "R");
+  ASSERT_TRUE(full_graded.ok() && scoped_graded.ok());
+  ASSERT_EQ(scoped_graded->NumRows(), full_graded->NumRows());
+  for (size_t i = 0; i < full_graded->NumRows(); ++i) {
+    rel::TupleRef a = full_graded->row(i);
+    rel::TupleRef b = scoped_graded->row(i);
+    EXPECT_EQ(a[0], b[0]);
+    EXPECT_EQ(a[1], b[1]);
+    EXPECT_NEAR(a[2].AsDouble(), b[2].AsDouble(), 1e-12);
+  }
+  EXPECT_TRUE(WsdtCertainTuples(*scoped, "R").value().EqualsAsSet(
+      WsdtCertainTuples(*full, "R").value()));
+  // The same distribution over R's instances.
+  auto distribution = [](const Wsdt& w) {
+    std::map<std::vector<rel::Value>, double> out;
+    auto worlds = w.ToWsd().value().EnumerateWorlds(1000, {"R"}).value();
+    for (const auto& world : worlds) {
+      rel::Relation inst = *world.db.GetRelation("R").value();
+      inst.SortDedup();
+      out[inst.data()] += world.prob;
+    }
+    return out;
+  };
+  auto want = distribution(*full);
+  auto got = distribution(*scoped);
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [inst, prob] : want) EXPECT_NEAR(got[inst], prob, 1e-12);
+
+  // The backend answers through the scoped import; C/F/W and unknown
+  // names stay NotFound.
+  engine::UniformBackend backend(*db);
+  auto answered = backend.PossibleTuplesWithConfidence("R");
+  ASSERT_TRUE(answered.ok());
+  EXPECT_EQ(answered->data(), full_graded->data());
+  for (const char* name : {kUniformC, kUniformF, kUniformW, "NOPE"}) {
+    EXPECT_EQ(backend.PossibleTuples(name).status().code(),
+              StatusCode::kNotFound)
+        << name;
+  }
 }
 
 TEST(UniformTest, ValidateUniformAcceptsExportsAndCatchesCorruption) {
