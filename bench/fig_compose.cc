@@ -59,7 +59,9 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
     std::fprintf(stderr, "cannot open %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"figure\": \"fig_compose\",\n  \"samples\": [\n");
+  std::fprintf(f, "{\n  \"figure\": \"fig_compose\",\n");
+  maywsd::bench::WriteHostJson(f);
+  std::fprintf(f, "  \"samples\": [\n");
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(

@@ -18,9 +18,9 @@
 //     updates is sliced ONCE, every slice applies the whole run on the
 //     pool, and slices stream back in shard order — the slice copy
 //     amortizes over the run, so the fan-out wins once real cores back
-//     the pool. The JSON records hardware_concurrency: on a single-core
-//     host the sharded sample can only show the slicing overhead, and
-//     the speedup comparison is meaningful only at hw >= 4.
+//     the pool. The JSON host block records hardware_concurrency: on a
+//     single-core host the sharded sample can only show the slicing
+//     overhead, and the speedup comparison is meaningful only at hw >= 4.
 //   - server_batch: WorldServer::ExecuteAll throughput over one session
 //     per backend under a mixed snapshot-read/update request batch.
 //   - snapshot_pin: Snapshot() pin+teardown latency at three FIXED data
@@ -80,10 +80,9 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
     std::fprintf(stderr, "cannot open %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f,
-               "{\n  \"figure\": \"fig_serving\",\n"
-               "  \"hardware_concurrency\": %u,\n  \"samples\": [\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(f, "{\n  \"figure\": \"fig_serving\",\n");
+  maywsd::bench::WriteHostJson(f);
+  std::fprintf(f, "  \"samples\": [\n");
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(

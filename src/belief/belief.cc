@@ -30,15 +30,6 @@ rel::Relation MarkerRelation(const char* name, const char* attr) {
   return r;
 }
 
-std::string TupleKey(std::span<const Value> tuple) {
-  std::string key;
-  for (const Value& v : tuple) {
-    key += v.ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
 }  // namespace
 
 std::vector<UpdateOp> ObservationOps(const Plan& fact) {
@@ -118,9 +109,10 @@ class KnowledgeState {
         {kUnitAttr}, Plan::Product(missing_t, Plan::Scan(kAliveRelation)));
     MAYWSD_ASSIGN_OR_RETURN(
         std::string witness,
-        EnsureDerivedLocked("knows:" + std::string(relation) + ":" +
-                                TupleKey(tuple),
-                            relation, bad));
+        EnsureDerivedLocked(
+            DerivedKey{"knows:" + std::string(relation),
+                       std::vector<Value>(tuple.begin(), tuple.end())},
+            relation, bad));
     MAYWSD_ASSIGN_OR_RETURN(rel::Relation possible,
                             session_.PossibleTuples(witness));
     return possible.empty();
@@ -178,6 +170,27 @@ class KnowledgeState {
     uint64_t alive_version = 0;
   };
 
+  /// What a derived relation materializes: a kind-and-relation tag and,
+  /// for Knows, the tuple — compared by Value equality, so distinct
+  /// values never share a witness.
+  struct DerivedKey {
+    std::string tag;
+    std::vector<Value> tuple;
+
+    bool operator==(const DerivedKey& o) const {
+      return tag == o.tag &&
+             rel::TupleRef(tuple.data(), tuple.size()) ==
+                 rel::TupleRef(o.tuple.data(), o.tuple.size());
+    }
+  };
+  struct DerivedKeyHash {
+    size_t operator()(const DerivedKey& k) const {
+      size_t seed = std::hash<std::string>{}(k.tag);
+      HashCombine(seed, rel::TupleRef(k.tuple.data(), k.tuple.size()).Hash());
+      return seed;
+    }
+  };
+
   Status EnsureMarker(const char* name, const char* attr) {
     if (session_.HasRelation(name)) {
       MAYWSD_ASSIGN_OR_RETURN(rel::Schema schema,
@@ -195,7 +208,7 @@ class KnowledgeState {
   /// Materializes `plan` once per (base relation version, alive version)
   /// under a reserved name and reuses it until either input changes, so
   /// repeated questions hit the Session's memoized answer surface.
-  Result<std::string> EnsureDerivedLocked(const std::string& key,
+  Result<std::string> EnsureDerivedLocked(const DerivedKey& key,
                                           std::string_view base_relation,
                                           const Plan& plan) {
     const uint64_t base_version = session_.RelationVersion(base_relation);
@@ -232,8 +245,8 @@ class KnowledgeState {
     Plan live =
         Plan::Project(attrs, Plan::Product(Plan::Scan(std::string(relation)),
                                            Plan::Scan(kAliveRelation)));
-    return EnsureDerivedLocked("live:" + std::string(relation), relation,
-                               live);
+    return EnsureDerivedLocked(DerivedKey{"live:" + std::string(relation), {}},
+                               relation, live);
   }
 
   Result<Predicate> MatchPredicateLocked(std::string_view relation,
@@ -277,7 +290,7 @@ class KnowledgeState {
 
   api::Session session_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, DerivedEntry> derived_;
+  std::unordered_map<DerivedKey, DerivedEntry, DerivedKeyHash> derived_;
   uint64_t next_id_ = 0;
   uint64_t observes_ = 0;
   uint64_t applies_ = 0;

@@ -1,6 +1,7 @@
 #include "core/engine/plan_driver.h"
 
 #include <atomic>
+#include <limits>
 #include <utility>
 
 #include "rel/optimizer.h"
@@ -59,18 +60,53 @@ rel::Predicate NegatePredicate(const rel::Predicate& pred) {
     }
     return rel::CmpOp::kNe;
   };
+  // A string and a number are incomparable (every ordered θ is false), so
+  // ¬(A θ c) also holds wherever A's kind differs from c's: flipping θ is
+  // exact only within one kind. These leaves select every string / every
+  // number and nothing of the other kind.
+  auto ordered = [](rel::CmpOp op) {
+    return op != rel::CmpOp::kEq && op != rel::CmpOp::kNe;
+  };
+  auto any_string = [](const std::string& attr) {
+    return rel::Predicate::Cmp(attr, rel::CmpOp::kGe, rel::Value::String(""));
+  };
+  auto any_number = [](const std::string& attr) {
+    return rel::Predicate::Cmp(
+        attr, rel::CmpOp::kGe,
+        rel::Value::Double(-std::numeric_limits<double>::infinity()));
+  };
   switch (pred.kind()) {
     case K::kTrue:
       // ¬true: an unsatisfiable comparison. '?' never occurs as a component
       // value, so A = '?' selects nothing. The attribute is resolved by the
       // driver (it substitutes a real attribute before use).
       return rel::Predicate::Cmp("", rel::CmpOp::kEq, rel::Value::Question());
-    case K::kCmpConst:
-      return rel::Predicate::Cmp(pred.lhs_attr(), flip(pred.op()),
-                                 pred.constant());
-    case K::kCmpAttr:
-      return rel::Predicate::CmpAttr(pred.lhs_attr(), flip(pred.op()),
-                                     pred.rhs_attr());
+    case K::kCmpConst: {
+      rel::Predicate flipped = rel::Predicate::Cmp(
+          pred.lhs_attr(), flip(pred.op()), pred.constant());
+      if (!ordered(pred.op())) return flipped;
+      const rel::Value& c = pred.constant();
+      if (c.is_numeric()) {
+        return rel::Predicate::Or(std::move(flipped),
+                                  any_string(pred.lhs_attr()));
+      }
+      if (c.is_string()) {
+        return rel::Predicate::Or(std::move(flipped),
+                                  any_number(pred.lhs_attr()));
+      }
+      return rel::Predicate::True();  // ⊥ and ? satisfy no ordered θ
+    }
+    case K::kCmpAttr: {
+      const std::string& a = pred.lhs_attr();
+      const std::string& b = pred.rhs_attr();
+      rel::Predicate flipped = rel::Predicate::CmpAttr(a, flip(pred.op()), b);
+      if (!ordered(pred.op())) return flipped;
+      return rel::Predicate::Or(
+          std::move(flipped),
+          rel::Predicate::Or(
+              rel::Predicate::And(any_string(a), any_number(b)),
+              rel::Predicate::And(any_number(a), any_string(b))));
+    }
     case K::kAnd:
       return rel::Predicate::Or(NegatePredicate(pred.left()),
                                 NegatePredicate(pred.right()));

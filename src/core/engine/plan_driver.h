@@ -58,9 +58,11 @@ class ScratchScope {
   std::vector<std::string> temps_;
 };
 
-/// Rewrites ¬p by pushing the negation to comparison leaves (¬(A<c) ≡ A≥c,
-/// De Morgan on ∧/∨). Needed because the Figure 9 selections have no
-/// native negation.
+/// Rewrites ¬p by pushing the negation to comparison leaves (De Morgan on
+/// ∧/∨). An ordered leaf flips its operator and also keeps the values of
+/// the other kind, which no ordered comparison relates:
+/// ¬(A<3) ≡ A≥3 ∨ A≥'' (every string). Needed because the Figure 9
+/// selections have no native negation.
 rel::Predicate NegatePredicate(const rel::Predicate& pred);
 
 /// Applies `pred` as a selection src → out on any backend: natively when

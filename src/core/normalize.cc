@@ -2,37 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
-#include "common/hash.h"
+#include "rel/row_set.h"
 
 namespace maywsd::core {
 
 namespace {
 
-/// Hashable key for a sub-row of a component (the values of the columns in
-/// `cols` for local world `w`).
-std::string SubRowKey(const Component& c, size_t w,
-                      const std::vector<size_t>& cols) {
-  std::string key;
-  key.reserve(cols.size() * 8);
-  for (size_t col : cols) {
-    const rel::Value& v = c.at(w, col);
-    key += v.ToString();
-    key += '\x1f';
-  }
-  return key;
-}
+/// Marginal distribution of the projection of `c` onto `cols`: the number
+/// of each local world's sub-row and the summed probability per sub-row.
+struct Marginal {
+  std::vector<uint32_t> of_world;
+  std::vector<double> prob;
+};
 
-/// Marginal distribution of the projection of `c` onto `cols`:
-/// distinct sub-rows with summed probabilities.
-std::unordered_map<std::string, double> Marginal(
-    const Component& c, const std::vector<size_t>& cols) {
-  std::unordered_map<std::string, double> out;
+Marginal MarginalOf(const Component& c, const std::vector<size_t>& cols) {
+  Marginal m;
+  rel::Relation rows{rel::Schema(std::vector<rel::Attribute>(cols.size()))};
+  rel::RowSet index(rows);
+  std::vector<rel::Value> sub(cols.size());
+  m.of_world.reserve(c.NumWorlds());
   for (size_t w = 0; w < c.NumWorlds(); ++w) {
-    out[SubRowKey(c, w, cols)] += c.prob(w);
+    for (size_t i = 0; i < cols.size(); ++i) sub[i] = c.at(w, cols[i]);
+    uint32_t row = index.Insert(sub).first;
+    if (row == m.prob.size()) m.prob.push_back(0.0);
+    m.prob[row] += c.prob(w);
+    m.of_world.push_back(row);
   }
-  return out;
+  return m;
 }
 
 /// True if splitting `c` into (cols_s, cols_rest) is a valid product
@@ -40,13 +37,13 @@ std::unordered_map<std::string, double> Marginal(
 /// probability is the product of its marginals.
 bool IsSeparator(const Component& c, const std::vector<size_t>& cols_s,
                  const std::vector<size_t>& cols_rest) {
-  auto ms = Marginal(c, cols_s);
-  auto mr = Marginal(c, cols_rest);
+  Marginal ms = MarginalOf(c, cols_s);
+  Marginal mr = MarginalOf(c, cols_rest);
   // `c` is compressed (distinct rows), so the set-size test is exact.
-  if (ms.size() * mr.size() != c.NumWorlds()) return false;
+  if (ms.prob.size() * mr.prob.size() != c.NumWorlds()) return false;
   for (size_t w = 0; w < c.NumWorlds(); ++w) {
     double p = c.prob(w);
-    double expected = ms[SubRowKey(c, w, cols_s)] * mr[SubRowKey(c, w, cols_rest)];
+    double expected = ms.prob[ms.of_world[w]] * mr.prob[mr.of_world[w]];
     if (std::abs(p - expected) > 1e-6 * std::max(1.0, std::abs(expected))) {
       return false;
     }

@@ -9,7 +9,7 @@
 
 #include "rel/eval.h"
 #include "rel/index.h"
-#include "core/wsdt_algebra.h"
+#include "rel/predicate.h"
 
 namespace maywsd::core {
 
@@ -380,7 +380,10 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
   auto b_col = logical.IndexOf(attr_b);
   if (!a_col) return Status::NotFound("attribute " + attr_a);
   if (!b_col) return Status::NotFound("attribute " + attr_b);
-  rel::Predicate pred = rel::Predicate::CmpAttr(attr_a, op, attr_b);
+  MAYWSD_ASSIGN_OR_RETURN(
+      rel::BoundPredicate pred,
+      rel::BoundPredicate::Bind(rel::Predicate::CmpAttr(attr_a, op, attr_b),
+                                logical));
 
   // Step 1: P⁰ keeps the decided-true rows as-is and the undecided rows
   // (a placeholder at A or B) for per-local-world filtering; decided-false
@@ -391,10 +394,9 @@ Status UniformSelectAttrAttr(rel::Database& db, const std::string& in_rel,
   for (size_t r = 0; r < in->NumRows(); ++r) {
     rel::TupleRef row = in->row(r);
     rel::TupleRef logical_row(row.data() + 1, logical.arity());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, logical, logical_row));
-    if (tri == Tri::kFalse) continue;
-    if (tri == Tri::kUnknown) undecided.push_back(p0.NumRows());
+    rel::Tri tri = pred.EvalTri(logical_row);
+    if (tri == rel::Tri::kFalse) continue;
+    if (tri == rel::Tri::kUnknown) undecided.push_back(p0.NumRows());
     p0.AppendRow(row.span());
     tids.insert(row[0].AsInt());
   }
@@ -942,17 +944,18 @@ namespace {
 
 /// Tri-evaluates `pred` on every template row (TID column stripped);
 /// kUnsupported when any row's decision needs component values.
-Result<std::vector<Tri>> DecideRows(const rel::Relation& tmpl,
-                                    const rel::Predicate& pred) {
+Result<std::vector<rel::Tri>> DecideRows(const rel::Relation& tmpl,
+                                         const rel::Predicate& pred) {
   rel::Schema logical(std::vector<rel::Attribute>(
       tmpl.schema().attrs().begin() + 1, tmpl.schema().attrs().end()));
-  std::vector<Tri> out;
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, logical));
+  std::vector<rel::Tri> out;
   out.reserve(tmpl.NumRows());
   for (size_t r = 0; r < tmpl.NumRows(); ++r) {
     rel::TupleRef logical_row(tmpl.row(r).data() + 1, logical.arity());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, logical, logical_row));
-    if (tri == Tri::kUnknown) {
+    rel::Tri tri = bound.EvalTri(logical_row);
+    if (tri == rel::Tri::kUnknown) {
       return Status::Unsupported(
           "predicate on " + tmpl.name() +
           " touches placeholder cells; needs the template semantics");
@@ -989,12 +992,13 @@ Status UniformDeleteWhere(rel::Database& db, const std::string& rel,
                                    rel);
   }
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, db.GetMutableRelation(rel));
-  MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
+  MAYWSD_ASSIGN_OR_RETURN(std::vector<rel::Tri> decided,
+                          DecideRows(*tmpl, pred));
   std::set<int64_t> removed_tids;
   bool removed_placeholder = false;
   rel::Relation kept(tmpl->schema(), tmpl->name());
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] == Tri::kTrue) {
+    if (decided[r] == rel::Tri::kTrue) {
       removed_tids.insert(tmpl->row(r)[0].AsInt());
       for (size_t a = 1; a < tmpl->arity(); ++a) {
         if (tmpl->row(r)[a].is_question()) removed_placeholder = true;
@@ -1020,7 +1024,8 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
     return Status::InvalidArgument("cannot modify system relation " + rel);
   }
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, db.GetMutableRelation(rel));
-  MAYWSD_ASSIGN_OR_RETURN(std::vector<Tri> decided, DecideRows(*tmpl, pred));
+  MAYWSD_ASSIGN_OR_RETURN(std::vector<rel::Tri> decided,
+                          DecideRows(*tmpl, pred));
   std::vector<std::pair<size_t, rel::Value>> cols;  // template column → value
   for (const rel::Assignment& a : assignments) {
     auto idx = tmpl->schema().IndexOf(a.attr);
@@ -1032,7 +1037,7 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
   }
   // Pass 1: an assignment to a '?' cell needs component surgery.
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] != Tri::kTrue) continue;
+    if (decided[r] != rel::Tri::kTrue) continue;
     for (const auto& [col, v] : cols) {
       if (tmpl->row(r)[col].is_question()) {
         return Status::Unsupported(
@@ -1042,7 +1047,7 @@ Status UniformModifyWhere(rel::Database& db, const std::string& rel,
     }
   }
   for (size_t r = 0; r < tmpl->NumRows(); ++r) {
-    if (decided[r] != Tri::kTrue) continue;
+    if (decided[r] != rel::Tri::kTrue) continue;
     for (const auto& [col, v] : cols) tmpl->SetCell(r, col, v);
   }
   return Status::Ok();

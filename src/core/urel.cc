@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -49,81 +51,101 @@ bool MergeDescriptors(std::span<const UrelDescEntry> a,
   return true;
 }
 
-/// Vectorized predicate evaluation: one bitmap per node, constant
-/// comparisons memoized per dictionary id.
-Status EvalPredicateBitmap(const Urel& u, const UrelRelation& r,
-                           const rel::Predicate& pred,
-                           std::vector<uint8_t>& out) {
+/// Verdicts of node `node` of `pred` for every row of `r`, one byte per row,
+/// in `out`. Equality against a constant compares dictionary ids with the
+/// constant's id; ordered comparisons against a constant fill a flat
+/// verdict table by id lazily, once per distinct value.
+void EvalPredicateBitmap(const Urel& u, const UrelRelation& r,
+                         const rel::BoundPredicate& pred, int node,
+                         std::vector<uint8_t>& out) {
+  using K = rel::Predicate::Kind;
+  const rel::BoundPredicate::Node& n = pred.nodes()[node];
   const size_t rows = r.NumRows();
-  out.assign(rows, 0);
-  switch (pred.kind()) {
-    case rel::Predicate::Kind::kTrue:
+  switch (n.kind) {
+    case K::kTrue:
       out.assign(rows, 1);
-      return Status::Ok();
-    case rel::Predicate::Kind::kCmpConst: {
-      auto col = r.schema.IndexOf(pred.lhs_attr());
-      if (!col) {
-        return Status::NotFound("attribute " + pred.lhs_attr() + " not in " +
-                                r.name);
-      }
-      const std::vector<UrelValueId>& ids = r.columns[*col];
-      std::unordered_map<UrelValueId, uint8_t> memo;
-      for (size_t i = 0; i < rows; ++i) {
-        auto it = memo.find(ids[i]);
-        if (it == memo.end()) {
-          it = memo.emplace(ids[i], u.ValueAt(ids[i]).Satisfies(
-                                        pred.op(), pred.constant())
-                                        ? 1
-                                        : 0)
-                   .first;
+      return;
+    case K::kCmpConst: {
+      const std::vector<UrelValueId>& ids = r.columns[n.lhs_col];
+      out.resize(rows);
+      if (n.cmp == rel::CmpOp::kEq || n.cmp == rel::CmpOp::kNe) {
+        // Id equality ⟺ value equality; a constant missing from the
+        // dictionary equals no stored value.
+        const uint8_t on_eq = n.cmp == rel::CmpOp::kEq ? 1 : 0;
+        std::optional<UrelValueId> id = u.Find(n.constant);
+        if (!id) {
+          std::fill(out.begin(), out.end(), 1 - on_eq);
+          return;
         }
-        out[i] = it->second;
+        for (size_t i = 0; i < rows; ++i) {
+          out[i] = ids[i] == *id ? on_eq : 1 - on_eq;
+        }
+        return;
       }
-      return Status::Ok();
+      // The flat table costs O(dictionary) to clear; past a few times the
+      // input size, compare per row instead.
+      if (u.DictionarySize() > 4 * rows + 64) {
+        for (size_t i = 0; i < rows; ++i) {
+          out[i] = u.ValueAt(ids[i]).Satisfies(n.cmp, n.constant) ? 1 : 0;
+        }
+        return;
+      }
+      constexpr uint8_t kUnset = 2;
+      std::vector<uint8_t> verdict(u.DictionarySize(), kUnset);
+      for (size_t i = 0; i < rows; ++i) {
+        uint8_t& v = verdict[ids[i]];
+        if (v == kUnset) {
+          v = u.ValueAt(ids[i]).Satisfies(n.cmp, n.constant) ? 1 : 0;
+        }
+        out[i] = v;
+      }
+      return;
     }
-    case rel::Predicate::Kind::kCmpAttr: {
-      auto a = r.schema.IndexOf(pred.lhs_attr());
-      auto b = r.schema.IndexOf(pred.rhs_attr());
-      if (!a || !b) {
-        return Status::NotFound("attribute " +
-                                (a ? pred.rhs_attr() : pred.lhs_attr()) +
-                                " not in " + r.name);
-      }
-      const std::vector<UrelValueId>& la = r.columns[*a];
-      const std::vector<UrelValueId>& lb = r.columns[*b];
-      if (pred.op() == rel::CmpOp::kEq || pred.op() == rel::CmpOp::kNe) {
-        // Dictionary ids are injective modulo value equality, so (in)equality
-        // is a pure id comparison.
-        const uint8_t on_eq = pred.op() == rel::CmpOp::kEq ? 1 : 0;
+    case K::kCmpAttr: {
+      const std::vector<UrelValueId>& la = r.columns[n.lhs_col];
+      const std::vector<UrelValueId>& lb = r.columns[n.rhs_col];
+      out.resize(rows);
+      if (n.cmp == rel::CmpOp::kEq || n.cmp == rel::CmpOp::kNe) {
+        const uint8_t on_eq = n.cmp == rel::CmpOp::kEq ? 1 : 0;
         for (size_t i = 0; i < rows; ++i) {
           out[i] = la[i] == lb[i] ? on_eq : 1 - on_eq;
         }
       } else {
         for (size_t i = 0; i < rows; ++i) {
           out[i] =
-              u.ValueAt(la[i]).Satisfies(pred.op(), u.ValueAt(lb[i])) ? 1 : 0;
+              u.ValueAt(la[i]).Satisfies(n.cmp, u.ValueAt(lb[i])) ? 1 : 0;
         }
       }
-      return Status::Ok();
+      return;
     }
-    case rel::Predicate::Kind::kAnd:
-    case rel::Predicate::Kind::kOr: {
+    case K::kAnd:
+    case K::kOr: {
       std::vector<uint8_t> rhs;
-      MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, r, pred.left(), out));
-      MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, r, pred.right(), rhs));
-      if (pred.kind() == rel::Predicate::Kind::kAnd) {
+      EvalPredicateBitmap(u, r, pred, n.left, out);
+      EvalPredicateBitmap(u, r, pred, n.right, rhs);
+      if (n.kind == K::kAnd) {
         for (size_t i = 0; i < rows; ++i) out[i] &= rhs[i];
       } else {
         for (size_t i = 0; i < rows; ++i) out[i] |= rhs[i];
       }
-      return Status::Ok();
+      return;
     }
-    case rel::Predicate::Kind::kNot:
-      MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, r, pred.left(), out));
+    case K::kNot:
+      EvalPredicateBitmap(u, r, pred, n.left, out);
       for (size_t i = 0; i < rows; ++i) out[i] = 1 - out[i];
-      return Status::Ok();
+      return;
   }
-  return Status::Internal("unknown predicate kind");
+}
+
+/// Binds `pred` to the columns of `r` and returns its verdict per row.
+Result<std::vector<uint8_t>> PredicateBitmap(const Urel& u,
+                                             const UrelRelation& r,
+                                             const rel::Predicate& pred) {
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, r.schema));
+  std::vector<uint8_t> out;
+  EvalPredicateBitmap(u, r, bound, bound.root(), out);
+  return out;
 }
 
 /// Copies row `row` of `src` (data + descriptor) into `dst` under a fresh
@@ -244,9 +266,14 @@ Urel::SymbolTable& Urel::MutableSymbols() {
   return symbols_.Mutable();
 }
 
-UrelValueId Urel::Intern(const rel::Value& v) {
+std::optional<UrelValueId> Urel::Find(const rel::Value& v) const {
   auto it = symbols().dict_index.find(v);
-  if (it != symbols().dict_index.end()) return it->second;
+  if (it == symbols().dict_index.end()) return std::nullopt;
+  return it->second;
+}
+
+UrelValueId Urel::Intern(const rel::Value& v) {
+  if (std::optional<UrelValueId> id = Find(v)) return *id;
   SymbolTable& s = MutableSymbols();
   UrelValueId id = static_cast<UrelValueId>(s.dict.size());
   s.dict.push_back(v);
@@ -324,11 +351,34 @@ Status UrelSelectPredicate(Urel& u, const std::string& src,
                            const rel::Predicate& pred) {
   MAYWSD_RETURN_IF_ERROR(RequireAbsent(u, out));
   MAYWSD_ASSIGN_OR_RETURN(const UrelRelation* s, u.Get(src));
-  std::vector<uint8_t> keep;
-  MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *s, pred, keep));
+  MAYWSD_ASSIGN_OR_RETURN(std::vector<uint8_t> keep,
+                          PredicateBitmap(u, *s, pred));
+  // Selection vector, then one gather per column.
+  std::vector<uint32_t> sel;
+  sel.reserve(s->NumRows());
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i]) sel.push_back(static_cast<uint32_t>(i));
+  }
   UrelRelation r = FreshRelation(out, s->schema);
-  for (size_t i = 0; i < s->NumRows(); ++i) {
-    if (keep[i]) CopyTuple(*s, i, r);
+  for (size_t a = 0; a < s->columns.size(); ++a) {
+    const std::vector<UrelValueId>& from = s->columns[a];
+    std::vector<UrelValueId>& to = r.columns[a];
+    to.resize(sel.size());
+    for (size_t k = 0; k < sel.size(); ++k) to[k] = from[sel[k]];
+  }
+  r.tids.resize(sel.size());
+  std::iota(r.tids.begin(), r.tids.end(), int64_t{0});
+  r.next_tid = static_cast<int64_t>(sel.size());
+  r.desc_offsets.resize(sel.size() + 1);
+  for (size_t k = 0; k < sel.size(); ++k) {
+    r.desc_offsets[k + 1] = r.desc_offsets[k] +
+                            static_cast<uint32_t>(s->Descriptor(sel[k]).size());
+  }
+  r.desc_entries.resize(r.desc_offsets.back());
+  for (size_t k = 0; k < sel.size(); ++k) {
+    std::span<const UrelDescEntry> d = s->Descriptor(sel[k]);
+    std::copy(d.begin(), d.end(),
+              r.desc_entries.begin() + r.desc_offsets[k]);
   }
   return u.Add(std::move(r));
 }
@@ -585,8 +635,8 @@ void RemoveRows(UrelRelation& r, const std::vector<uint8_t>& remove) {
 Status UrelDeleteWhere(Urel& u, const std::string& rel,
                        const rel::Predicate& pred) {
   MAYWSD_ASSIGN_OR_RETURN(UrelRelation * r, u.GetMutable(rel));
-  std::vector<uint8_t> remove;
-  MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *r, pred, remove));
+  MAYWSD_ASSIGN_OR_RETURN(std::vector<uint8_t> remove,
+                          PredicateBitmap(u, *r, pred));
   RemoveRows(*r, remove);
   return Status::Ok();
 }
@@ -603,8 +653,8 @@ Status UrelModifyWhere(Urel& u, const std::string& rel,
     }
     writes.emplace_back(*col, u.Intern(a.value));
   }
-  std::vector<uint8_t> hit;
-  MAYWSD_RETURN_IF_ERROR(EvalPredicateBitmap(u, *r, pred, hit));
+  MAYWSD_ASSIGN_OR_RETURN(std::vector<uint8_t> hit,
+                          PredicateBitmap(u, *r, pred));
   for (size_t i = 0; i < r->NumRows(); ++i) {
     if (!hit[i]) continue;
     for (const auto& [col, id] : writes) r->columns[col][i] = id;

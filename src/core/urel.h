@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -104,6 +105,9 @@ class Urel {
   /// Interning a value already in the dictionary is a read-only lookup;
   /// only a genuinely new value privatizes a shared symbol table.
   UrelValueId Intern(const rel::Value& v);
+
+  /// Id of `v` when the dictionary holds it; never adds an entry.
+  std::optional<UrelValueId> Find(const rel::Value& v) const;
 
   const rel::Value& ValueAt(UrelValueId id) const {
     return symbols().dict[id];
@@ -188,9 +192,10 @@ class Urel {
 /// with its source through the shared variables).
 Status UrelCopy(Urel& u, const std::string& src, const std::string& out);
 
-/// out := σ_pred(src) for an arbitrary predicate tree, evaluated
-/// vectorized: constant comparisons are memoized per dictionary id, so a
-/// column of k distinct values costs k comparisons regardless of rows.
+/// out := σ_pred(src) for an arbitrary predicate tree, bound to columns
+/// once and evaluated as column kernels: (in)equality compares dictionary
+/// ids, ordered constant comparisons run once per distinct value, and the
+/// kept rows are gathered one column at a time.
 Status UrelSelectPredicate(Urel& u, const std::string& src,
                            const std::string& out, const rel::Predicate& pred);
 

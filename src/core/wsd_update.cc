@@ -5,7 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "core/wsdt_algebra.h"
+#include "rel/predicate.h"
 
 namespace maywsd::core {
 
@@ -81,40 +81,37 @@ Status WsdInsertTuples(Wsd& wsd, const std::string& rel,
 namespace {
 
 /// Shared core of delete and modify: per alive slot of `rel`, composes the
-/// components carrying `attrs` (plus the guard component), then calls
-/// `apply(comp, attr_cols, selected)` to rewrite local worlds in place.
-/// `attr_cols` maps every attribute of `attrs` to its column in `comp`;
-/// `selected` is empty for unconditional updates (all worlds selected).
+/// components carrying the schema columns `cols` (plus the guard
+/// component), then calls `apply(comp, attr_cols, selected)` to rewrite
+/// local worlds in place. `attr_cols` pairs every column of `cols` with its
+/// column in `comp`; `selected` is empty for unconditional updates (all
+/// worlds selected).
 Status ForEachSlotComposed(
-    Wsd& wsd, const std::string& rel, const std::vector<std::string>& attrs,
+    Wsd& wsd, const WsdRelation& r, const std::vector<size_t>& cols,
     const WsdUpdateGuard& guard,
     const std::function<Status(
         Component& comp,
-        const std::vector<std::pair<std::string, size_t>>& attr_cols,
+        const std::vector<std::pair<size_t, size_t>>& attr_cols,
         const std::vector<bool>& selected)>& apply) {
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* r, wsd.FindRelation(rel));
-  for (const std::string& a : attrs) {
-    if (!r->schema.Contains(a)) {
-      return Status::NotFound("attribute " + a + " not in " + rel);
-    }
-  }
   const bool conditional =
       guard.mode() == WsdUpdateGuard::Mode::kConditional;
-  Symbol rel_sym = r->name_sym;
-  TupleId max_tuples = r->max_tuples;
-  rel::Schema schema = r->schema;
+  Symbol rel_sym = r.name_sym;
+  TupleId max_tuples = r.max_tuples;
+  rel::Schema schema = r.schema;
   // The guard's selection bitmap only changes when a composition grows the
   // guard component's local-world set; recompute it lazily instead of per
   // slot.
   std::vector<bool> selected;
   bool selected_valid = false;
+  std::set<int32_t> comps;
+  std::vector<std::pair<size_t, size_t>> attr_cols;
   for (TupleId t = 0; t < max_tuples; ++t) {
     FieldKey probe(rel_sym, t, schema.attr(0).name);
     if (!wsd.HasField(probe)) continue;  // removed slot
-    std::set<int32_t> comps;
-    for (const std::string& a : attrs) {
+    comps.clear();
+    for (size_t a : cols) {
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc, wsd.Locate(FieldKey(rel_sym, t, InternString(a))));
+          FieldLoc loc, wsd.Locate(FieldKey(rel_sym, t, schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     size_t target = conditional ? guard.comp()
@@ -125,10 +122,10 @@ Status ForEachSlotComposed(
           wsd.ComposeInPlace(target, static_cast<size_t>(c)));
       if (target == guard.comp()) selected_valid = false;
     }
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : attrs) {
+    attr_cols.clear();
+    for (size_t a : cols) {
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc, wsd.Locate(FieldKey(rel_sym, t, InternString(a))));
+          FieldLoc loc, wsd.Locate(FieldKey(rel_sym, t, schema.attr(a).name)));
       attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
     if (conditional && !selected_valid) {
@@ -141,6 +138,18 @@ Status ForEachSlotComposed(
   return Status::Ok();
 }
 
+/// Fills `row` with local world `w`'s values of the columns in
+/// `attr_cols`; false when the tuple is absent there (some value is ⊥).
+bool LoadWorldRow(const Component& comp, size_t w,
+                  const std::vector<std::pair<size_t, size_t>>& attr_cols,
+                  std::vector<rel::Value>& row) {
+  for (const auto& [a, col] : attr_cols) {
+    row[a] = comp.at(w, col);
+    if (row[a].is_bottom()) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status WsdDeleteWhere(Wsd& wsd, const std::string& rel,
@@ -148,32 +157,21 @@ Status WsdDeleteWhere(Wsd& wsd, const std::string& rel,
                       const WsdUpdateGuard& guard) {
   if (guard.mode() == WsdUpdateGuard::Mode::kNever) return Status::Ok();
   MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* r, wsd.FindRelation(rel));
-  std::vector<std::string> attrs = pred.ReferencedAttributes();
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-  if (attrs.empty()) {
-    // σ_true-style delete: any column works as the deletion mark.
-    attrs.push_back(std::string(r->schema.attr(0).name_view()));
-  }
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, r->schema));
+  std::vector<size_t> cols = bound.columns();
+  // σ_true-style delete: any column works as the deletion mark.
+  if (cols.empty()) cols.push_back(0);
+  std::vector<rel::Value> row(r->schema.arity());
   return ForEachSlotComposed(
-      wsd, rel, attrs, guard,
+      wsd, *r, cols, guard,
       [&](Component& comp,
-          const std::vector<std::pair<std::string, size_t>>& attr_cols,
+          const std::vector<std::pair<size_t, size_t>>& attr_cols,
           const std::vector<bool>& selected) -> Status {
         for (size_t w = 0; w < comp.NumWorlds(); ++w) {
           if (!selected.empty() && !selected[w]) continue;
-          bool absent = false;
-          for (const auto& [a, col] : attr_cols) {
-            if (comp.at(w, col).is_bottom()) absent = true;
-          }
-          if (absent) continue;
-          auto get = [&](const std::string& name) -> rel::Value {
-            for (const auto& [a, col] : attr_cols) {
-              if (a == name) return comp.at(w, col);
-            }
-            return rel::Value::Bottom();
-          };
-          if (EvalPredicateResolved(pred, get)) {
+          if (!LoadWorldRow(comp, w, attr_cols, row)) continue;
+          if (bound.Eval(rel::TupleRef(row.data(), row.size()))) {
             for (const auto& [a, col] : attr_cols) {
               comp.at(w, col) = rel::Value::Bottom();
             }
@@ -190,38 +188,41 @@ Status WsdModifyWhere(Wsd& wsd, const std::string& rel,
                       const WsdUpdateGuard& guard) {
   if (guard.mode() == WsdUpdateGuard::Mode::kNever) return Status::Ok();
   if (assignments.empty()) return Status::Ok();
-  std::vector<std::string> attrs = pred.ReferencedAttributes();
-  for (const rel::Assignment& a : assignments) attrs.push_back(a.attr);
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* r, wsd.FindRelation(rel));
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, r->schema));
+  std::vector<size_t> cols = bound.columns();
+  std::vector<std::pair<size_t, rel::Value>> assigned;  // attr → value
+  for (const rel::Assignment& as : assignments) {
+    auto idx = r->schema.IndexOf(as.attr);
+    if (!idx) {
+      return Status::NotFound("attribute " + as.attr + " not in " + rel);
+    }
+    assigned.emplace_back(*idx, as.value);
+    cols.push_back(*idx);
+  }
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  std::vector<rel::Value> row(r->schema.arity());
+  std::vector<std::pair<size_t, rel::Value>> assigned_cols;
   return ForEachSlotComposed(
-      wsd, rel, attrs, guard,
+      wsd, *r, cols, guard,
       [&](Component& comp,
-          const std::vector<std::pair<std::string, size_t>>& attr_cols,
+          const std::vector<std::pair<size_t, size_t>>& attr_cols,
           const std::vector<bool>& selected) -> Status {
-        std::vector<std::pair<size_t, rel::Value>> assigned_cols;
-        for (const rel::Assignment& as : assignments) {
+        assigned_cols.clear();
+        for (const auto& [attr, v] : assigned) {
           for (const auto& [a, col] : attr_cols) {
-            if (a == as.attr) {
-              assigned_cols.emplace_back(col, as.value);
+            if (a == attr) {
+              assigned_cols.emplace_back(col, v);
               break;
             }
           }
         }
         for (size_t w = 0; w < comp.NumWorlds(); ++w) {
           if (!selected.empty() && !selected[w]) continue;
-          bool absent = false;
-          for (const auto& [a, col] : attr_cols) {
-            if (comp.at(w, col).is_bottom()) absent = true;
-          }
-          if (absent) continue;
-          auto get = [&](const std::string& name) -> rel::Value {
-            for (const auto& [a, col] : attr_cols) {
-              if (a == name) return comp.at(w, col);
-            }
-            return rel::Value::Bottom();
-          };
-          if (EvalPredicateResolved(pred, get)) {
+          if (!LoadWorldRow(comp, w, attr_cols, row)) continue;
+          if (bound.Eval(rel::TupleRef(row.data(), row.size()))) {
             for (const auto& [col, v] : assigned_cols) comp.at(w, col) = v;
           }
         }

@@ -1,7 +1,6 @@
 #include "core/wsdt_algebra.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +9,7 @@
 #include "core/engine/wsdt_backend.h"
 #include "core/wsd.h"
 #include "core/wsd_algebra.h"
+#include "rel/row_set.h"
 
 namespace maywsd::core {
 
@@ -50,16 +50,6 @@ Result<TupleId> CopyRowInto(Wsdt& wsdt, const rel::Relation& src_tmpl,
   return n;
 }
 
-/// Serialized key of a fully-certain row (for duplicate merging).
-std::string CertainRowKey(rel::TupleRef row) {
-  std::string key;
-  for (size_t a = 0; a < row.arity(); ++a) {
-    key += row[a].ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
 bool RowFullyCertain(rel::TupleRef row) {
   for (size_t a = 0; a < row.arity(); ++a) {
     if (row[a].is_question()) return false;
@@ -68,86 +58,6 @@ bool RowFullyCertain(rel::TupleRef row) {
 }
 
 }  // namespace
-
-bool EvalPredicateResolved(
-    const rel::Predicate& pred,
-    const std::function<rel::Value(const std::string&)>& get) {
-  using K = rel::Predicate::Kind;
-  switch (pred.kind()) {
-    case K::kTrue:
-      return true;
-    case K::kCmpConst:
-      return get(pred.lhs_attr()).Satisfies(pred.op(), pred.constant());
-    case K::kCmpAttr:
-      return get(pred.lhs_attr()).Satisfies(pred.op(), get(pred.rhs_attr()));
-    case K::kAnd:
-      return EvalPredicateResolved(pred.left(), get) &&
-             EvalPredicateResolved(pred.right(), get);
-    case K::kOr:
-      return EvalPredicateResolved(pred.left(), get) ||
-             EvalPredicateResolved(pred.right(), get);
-    case K::kNot:
-      return !EvalPredicateResolved(pred.left(), get);
-  }
-  return false;
-}
-
-Result<Tri> TriEvalPredicate(const rel::Predicate& pred,
-                             const rel::Schema& schema, rel::TupleRef row) {
-  using K = rel::Predicate::Kind;
-  switch (pred.kind()) {
-    case K::kTrue:
-      return Tri::kTrue;
-    case K::kCmpConst: {
-      auto idx = schema.IndexOf(pred.lhs_attr());
-      if (!idx) return Status::NotFound("attribute " + pred.lhs_attr());
-      if (row[*idx].is_question()) return Tri::kUnknown;
-      return row[*idx].Satisfies(pred.op(), pred.constant()) ? Tri::kTrue
-                                                             : Tri::kFalse;
-    }
-    case K::kCmpAttr: {
-      auto li = schema.IndexOf(pred.lhs_attr());
-      auto ri = schema.IndexOf(pred.rhs_attr());
-      if (!li || !ri) {
-        return Status::NotFound("attribute " + pred.lhs_attr() + "/" +
-                                pred.rhs_attr());
-      }
-      if (row[*li].is_question() || row[*ri].is_question()) {
-        return Tri::kUnknown;
-      }
-      return row[*li].Satisfies(pred.op(), row[*ri]) ? Tri::kTrue
-                                                     : Tri::kFalse;
-    }
-    case K::kAnd: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kFalse) return Tri::kFalse;
-      MAYWSD_ASSIGN_OR_RETURN(Tri r,
-                              TriEvalPredicate(pred.right(), schema, row));
-      if (r == Tri::kFalse) return Tri::kFalse;
-      if (l == Tri::kTrue && r == Tri::kTrue) return Tri::kTrue;
-      return Tri::kUnknown;
-    }
-    case K::kOr: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kTrue) return Tri::kTrue;
-      MAYWSD_ASSIGN_OR_RETURN(Tri r,
-                              TriEvalPredicate(pred.right(), schema, row));
-      if (r == Tri::kTrue) return Tri::kTrue;
-      if (l == Tri::kFalse && r == Tri::kFalse) return Tri::kFalse;
-      return Tri::kUnknown;
-    }
-    case K::kNot: {
-      MAYWSD_ASSIGN_OR_RETURN(Tri l,
-                              TriEvalPredicate(pred.left(), schema, row));
-      if (l == Tri::kTrue) return Tri::kFalse;
-      if (l == Tri::kFalse) return Tri::kTrue;
-      return Tri::kUnknown;
-    }
-  }
-  return Status::Internal("unknown predicate kind");
-}
 
 Status WsdtCopy(Wsdt& wsdt, const std::string& src, const std::string& out) {
   MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* src_tmpl, wsdt.Template(src));
@@ -190,72 +100,67 @@ Status WsdtSelect(Wsdt& wsdt, const std::string& src, const std::string& out,
   }
   const rel::Relation& src_tmpl = *src_ptr;
   const rel::Schema schema = src_tmpl.schema();
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
   Symbol src_sym = InternString(src);
   Symbol out_sym = InternString(out);
 
-  // Attributes the predicate reads (deduplicated), resolved once.
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!a.empty() && !schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + src);
-    }
+  // Verdicts for every row first, so the output is sized exactly.
+  const size_t num_rows = src_tmpl.NumRows();
+  std::vector<rel::Tri> verdicts(num_rows);
+  size_t kept = 0;
+  for (size_t r = 0; r < num_rows; ++r) {
+    verdicts[r] = bound.EvalTri(src_tmpl.row(r));
+    if (verdicts[r] != rel::Tri::kFalse) ++kept;
   }
 
   rel::Relation out_tmpl(schema, out);
-  for (size_t r = 0; r < src_tmpl.NumRows(); ++r) {
-    rel::TupleRef row = src_tmpl.row(r);
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri, TriEvalPredicate(pred, schema, row));
-    if (tri == Tri::kFalse) continue;
+  out_tmpl.Reserve(kept);
+  std::vector<rel::Value> buf(schema.arity());
+  std::vector<int32_t> comps;
+  std::vector<std::pair<size_t, size_t>> hole_cols;  // (attr, comp column)
+  for (size_t r = 0; r < num_rows; ++r) {
+    if (verdicts[r] == rel::Tri::kFalse) continue;
     MAYWSD_ASSIGN_OR_RETURN(
         TupleId n, CopyRowInto(wsdt, src_tmpl, src_sym, r, &out_tmpl, out_sym));
-    if (tri == Tri::kTrue) continue;
+    if (verdicts[r] == rel::Tri::kTrue) continue;
 
     // Unknown: compose the components of the referenced placeholders of
     // this tuple (usually a single one) and ⊥-mark failing local worlds.
-    std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !row[*idx].is_question()) continue;
-      unknown_attrs.push_back(a);
+    rel::TupleRef row = src_tmpl.row(r);
+    comps.clear();
+    for (size_t a : bound.columns()) {
+      if (!row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc,
-          wsdt.Locate(FieldKey(out_sym, n, InternString(a))));
-      comps.insert(loc.comp);
+          FieldLoc loc, wsdt.Locate(FieldKey(out_sym, n, schema.attr(a).name)));
+      comps.push_back(loc.comp);
     }
-    auto it = comps.begin();
-    size_t target = static_cast<size_t>(*it);
-    for (++it; it != comps.end(); ++it) {
+    std::sort(comps.begin(), comps.end());
+    comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
+    size_t target = static_cast<size_t>(comps.front());
+    for (size_t i = 1; i < comps.size(); ++i) {
       MAYWSD_RETURN_IF_ERROR(
-          wsdt.ComposeInPlace(target, static_cast<size_t>(*it)));
+          wsdt.ComposeInPlace(target, static_cast<size_t>(comps[i])));
     }
     // Column positions of the unknown attributes in the composed component.
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    hole_cols.clear();
+    for (size_t a : bound.columns()) {
+      if (!row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
-          FieldLoc loc,
-          wsdt.Locate(FieldKey(out_sym, n, InternString(a))));
-      attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
+          FieldLoc loc, wsdt.Locate(FieldKey(out_sym, n, schema.attr(a).name)));
+      hole_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
+    std::copy(row.data(), row.data() + row.arity(), buf.begin());
     Component& comp = wsdt.mutable_component(target);
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
       bool absent = false;
-      for (const auto& [a, col] : attr_cols) {
-        if (comp.at(w, col).is_bottom()) absent = true;
+      for (const auto& [a, col] : hole_cols) {
+        buf[a] = comp.at(w, col);
+        if (buf[a].is_bottom()) absent = true;
       }
       if (absent) continue;  // tuple already absent in this local world
-      auto get = [&](const std::string& name) -> rel::Value {
-        for (const auto& [a, col] : attr_cols) {
-          if (a == name) return comp.at(w, col);
-        }
-        auto idx = schema.IndexOf(name);
-        return idx ? row[*idx] : rel::Value::Bottom();
-      };
-      if (!EvalPredicateResolved(pred, get)) {
-        for (const auto& [a, col] : attr_cols) {
+      if (!bound.Eval(rel::TupleRef(buf.data(), buf.size()))) {
+        for (const auto& [a, col] : hole_cols) {
           comp.at(w, col) = rel::Value::Bottom();
         }
       }
@@ -287,7 +192,7 @@ Status WsdtProject(Wsdt& wsdt, const std::string& src, const std::string& out,
   }
 
   rel::Relation out_tmpl(out_schema, out);
-  std::unordered_set<std::string> seen_certain;
+  rel::RowSet certain_rows(out_tmpl);
   std::vector<rel::Value> buf(out_schema.arity());
 
   for (size_t r = 0; r < src_tmpl.NumRows(); ++r) {
@@ -312,10 +217,7 @@ Status WsdtProject(Wsdt& wsdt, const std::string& src, const std::string& out,
     }
     if (certain) {
       // Fully certain result tuple: set semantics merges duplicates.
-      rel::TupleRef probe(buf.data(), buf.size());
-      std::string key = CertainRowKey(probe);
-      if (!seen_certain.insert(key).second) continue;
-      out_tmpl.AppendRow(buf);
+      certain_rows.Insert(buf);
       continue;
     }
 
@@ -396,7 +298,7 @@ Status WsdtUnion(Wsdt& wsdt, const std::string& left, const std::string& right,
   }
   Symbol out_sym = InternString(out);
   rel::Relation out_tmpl(l_ptr->schema(), out);
-  std::unordered_set<std::string> seen_certain;
+  rel::RowSet certain_rows(out_tmpl);
   for (const std::string& side : {left, right}) {
     MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* src_ptr,
                             wsdt.Template(side));
@@ -404,8 +306,9 @@ Status WsdtUnion(Wsdt& wsdt, const std::string& left, const std::string& right,
     Symbol src_sym = InternString(side);
     for (size_t r = 0; r < src_tmpl.NumRows(); ++r) {
       rel::TupleRef row = src_tmpl.row(r);
-      if (RowFullyCertain(row) &&
-          !seen_certain.insert(CertainRowKey(row)).second) {
+      if (RowFullyCertain(row)) {
+        // Set semantics merges duplicate certain rows.
+        certain_rows.Insert(row.span());
         continue;
       }
       MAYWSD_RETURN_IF_ERROR(

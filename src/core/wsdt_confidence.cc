@@ -1,10 +1,11 @@
 #include "core/wsdt_confidence.h"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <numeric>
 #include <set>
+
+#include "rel/row_set.h"
 
 namespace maywsd::core {
 
@@ -166,57 +167,6 @@ Result<double> ConfidenceOverRows(const Wsdt& wsdt, const rel::Relation& tmpl,
   return 1.0 - not_conf;
 }
 
-/// Open-addressing set of the rows of `rows`, probed by row content: the
-/// grouping index of the answer pass. It stores row numbers only, so no
-/// tuple is copied to form a key.
-class RowSet {
- public:
-  explicit RowSet(rel::Relation& rows) : rows_(rows) { Rehash(16); }
-
-  size_t size() const { return hashes_.size(); }
-
-  /// Row number of `tuple`, appending it to the relation first if new.
-  uint32_t Insert(std::span<const rel::Value> tuple) {
-    if (2 * (size() + 1) > slots_.size()) Rehash(2 * slots_.size());
-    rel::TupleRef probe(tuple.data(), tuple.size());
-    size_t h = probe.Hash();
-    for (size_t i = Slot(h);; i = (i + 1) & (slots_.size() - 1)) {
-      uint32_t s = slots_[i];
-      if (s == kEmpty) {
-        s = static_cast<uint32_t>(size());
-        slots_[i] = s;
-        hashes_.push_back(h);
-        rows_.AppendRow(tuple);
-        return s;
-      }
-      if (hashes_[s] == h && rows_.row(s) == probe) return s;
-    }
-  }
-
- private:
-  static constexpr uint32_t kEmpty = ~uint32_t{0};
-
-  /// Fibonacci hashing: the top bits of h · 2⁶⁴/φ pick the slot.
-  size_t Slot(uint64_t h) const {
-    return (h * 0x9e3779b97f4a7c15ULL) >> shift_;
-  }
-
-  void Rehash(size_t capacity) {
-    slots_.assign(capacity, kEmpty);
-    shift_ = 64 - std::countr_zero(capacity);
-    for (uint32_t s = 0; s < size(); ++s) {
-      size_t i = Slot(hashes_[s]);
-      while (slots_[i] != kEmpty) i = (i + 1) & (capacity - 1);
-      slots_[i] = s;
-    }
-  }
-
-  rel::Relation& rows_;
-  std::vector<uint32_t> slots_;
-  std::vector<size_t> hashes_;  ///< per row
-  int shift_ = 0;
-};
-
 /// One pass over a template: each row instantiated once, the distinct
 /// possible tuples grouped by content, and for each tuple whether a
 /// certain row produces it and which uncertain rows do.
@@ -252,14 +202,14 @@ Result<Instantiations> Instantiate(const Wsdt& wsdt,
   inst.tmpl = tmpl_ptr;
   inst.rel_sym = InternString(relation);
   inst.tuples = rel::Relation(tmpl.schema());
-  RowSet index(inst.tuples);
+  rel::RowSet index(inst.tuples);
   std::vector<rel::Value> buf(tmpl.arity());
   for (size_t r = 0; r < tmpl.NumRows(); ++r) {
     rel::TupleRef row = tmpl.row(r);
     MAYWSD_ASSIGN_OR_RETURN(Holes holes,
                             PlaceholderCols(wsdt, tmpl, inst.rel_sym, r));
     if (holes.empty()) {
-      uint32_t t = index.Insert(row.span());
+      uint32_t t = index.Insert(row.span()).first;
       if (t >= inst.certain.size()) inst.certain.resize(t + 1);
       inst.certain[t] = true;
       continue;
@@ -283,7 +233,7 @@ Result<Instantiations> Instantiate(const Wsdt& wsdt,
         }
         buf[attr] = v;
       }
-      if (!absent) inst.produced.emplace_back(index.Insert(buf), u);
+      if (!absent) inst.produced.emplace_back(index.Insert(buf).first, u);
     }
   }
   inst.certain.resize(index.size());

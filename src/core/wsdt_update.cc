@@ -5,7 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "core/wsdt_algebra.h"
+#include "rel/predicate.h"
 
 namespace maywsd::core {
 
@@ -108,16 +108,8 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, wsdt.MutableTemplate(rel));
   const rel::Schema schema = tmpl->schema();
   Symbol rel_sym = InternString(rel);
-
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + rel);
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
 
   // The guard's selection bitmap only changes when a composition grows the
   // guard component's local-world set; recompute it lazily instead of per
@@ -132,15 +124,21 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     return Status::Ok();
   };
 
+  // old_row holds the current row's cells, copied before any rewrite of
+  // the template; a per-world check overwrites its '?' cells with the
+  // local world's values.
+  std::vector<rel::Value> old_row(schema.arity());
+  const rel::TupleRef row_ref(old_row.data(), old_row.size());
+  std::set<int32_t> comps;
+  std::vector<std::pair<size_t, size_t>> hole_cols;  // (attr, comp column)
   const size_t num_rows = tmpl->NumRows();
   for (size_t r = 0; r < num_rows; ++r) {
-    std::vector<rel::Value> old_row = tmpl->row(r).ToRow();
-    rel::TupleRef row_ref(old_row.data(), old_row.size());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, schema, row_ref));
-    if (tri == Tri::kFalse) continue;
+    const rel::Tri tri = bound.EvalTri(tmpl->row(r));
+    if (tri == rel::Tri::kFalse) continue;
+    const rel::TupleRef cur = tmpl->row(r);
+    std::copy(cur.data(), cur.data() + cur.arity(), old_row.begin());
 
-    if (tri == Tri::kTrue) {
+    if (tri == rel::Tri::kTrue) {
       std::optional<size_t> mark = FirstPlaceholder(row_ref);
       if (!conditional) {
         // Delete the tuple in every world: make one column all-⊥ (the
@@ -200,15 +198,12 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     // the guard component), then ⊥-mark the local worlds where the
     // predicate holds and the world is selected — WsdtSelect's unknown
     // path, inverted in place.
-    std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !row_ref[*idx].is_question()) continue;
-      unknown_attrs.push_back(a);
+    comps.clear();
+    for (size_t a : bound.columns()) {
+      if (!old_row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     size_t target = conditional ? guard.comp()
@@ -216,12 +211,13 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     MAYWSD_ASSIGN_OR_RETURN(bool composed, ComposeInto(wsdt, target, comps));
     if (composed) selected_valid = false;
 
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    hole_cols.clear();
+    for (size_t a : bound.columns()) {
+      if (!old_row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
-      attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
+                                             schema.attr(a).name)));
+      hole_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
     if (conditional) {
       MAYWSD_RETURN_IF_ERROR(refresh_selected());
@@ -230,19 +226,13 @@ Status WsdtDeleteWhere(Wsdt& wsdt, const std::string& rel,
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
       if (conditional && !selected[w]) continue;
       bool absent = false;
-      for (const auto& [a, col] : attr_cols) {
-        if (comp.at(w, col).is_bottom()) absent = true;
+      for (const auto& [a, col] : hole_cols) {
+        old_row[a] = comp.at(w, col);
+        if (old_row[a].is_bottom()) absent = true;
       }
       if (absent) continue;
-      auto get = [&](const std::string& name) -> rel::Value {
-        for (const auto& [a, col] : attr_cols) {
-          if (a == name) return comp.at(w, col);
-        }
-        auto idx = schema.IndexOf(name);
-        return idx ? old_row[*idx] : rel::Value::Bottom();
-      };
-      if (EvalPredicateResolved(pred, get)) {
-        for (const auto& [a, col] : attr_cols) {
+      if (bound.Eval(row_ref)) {
+        for (const auto& [a, col] : hole_cols) {
           comp.at(w, col) = rel::Value::Bottom();
         }
       }
@@ -262,16 +252,8 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation * tmpl, wsdt.MutableTemplate(rel));
   const rel::Schema schema = tmpl->schema();
   Symbol rel_sym = InternString(rel);
-
-  std::vector<std::string> ref_attrs = pred.ReferencedAttributes();
-  std::sort(ref_attrs.begin(), ref_attrs.end());
-  ref_attrs.erase(std::unique(ref_attrs.begin(), ref_attrs.end()),
-                  ref_attrs.end());
-  for (const std::string& a : ref_attrs) {
-    if (!schema.Contains(a)) {
-      return Status::NotFound("predicate attribute " + a + " not in " + rel);
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(rel::BoundPredicate bound,
+                          rel::BoundPredicate::Bind(pred, schema));
   std::vector<std::pair<size_t, rel::Value>> assigned;  // column → value
   for (const rel::Assignment& a : assignments) {
     auto idx = schema.IndexOf(a.attr);
@@ -294,15 +276,20 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     return Status::Ok();
   };
 
+  // old_row: see WsdtDeleteWhere.
+  std::vector<rel::Value> old_row(schema.arity());
+  const rel::TupleRef row_ref(old_row.data(), old_row.size());
+  std::set<int32_t> comps;
+  std::vector<std::pair<size_t, size_t>> hole_cols;  // (attr, comp column)
+  std::vector<std::pair<size_t, rel::Value>> assigned_cols;
   const size_t num_rows = tmpl->NumRows();
   for (size_t r = 0; r < num_rows; ++r) {
-    std::vector<rel::Value> old_row = tmpl->row(r).ToRow();
-    rel::TupleRef row_ref(old_row.data(), old_row.size());
-    MAYWSD_ASSIGN_OR_RETURN(Tri tri,
-                            TriEvalPredicate(pred, schema, row_ref));
-    if (tri == Tri::kFalse) continue;
+    const rel::Tri tri = bound.EvalTri(tmpl->row(r));
+    if (tri == rel::Tri::kFalse) continue;
+    const rel::TupleRef cur = tmpl->row(r);
+    std::copy(cur.data(), cur.data() + cur.arity(), old_row.begin());
 
-    if (tri == Tri::kTrue && !conditional) {
+    if (tri == rel::Tri::kTrue && !conditional) {
       // Certain match, all worlds: overwrite in place (⊥s — absent
       // worlds — stay ⊥).
       for (const auto& [col, v] : assigned) {
@@ -326,15 +313,12 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     // Per-world match (unknown predicate and/or world condition): compose
     // everything the decision and the assignment depend on into one
     // component, then rewrite the selected local worlds.
-    std::set<int32_t> comps;
-    std::vector<std::string> unknown_attrs;
-    for (const std::string& a : ref_attrs) {
-      auto idx = schema.IndexOf(a);
-      if (!idx || !old_row[*idx].is_question()) continue;
-      unknown_attrs.push_back(a);
+    comps.clear();
+    for (size_t a : bound.columns()) {
+      if (!old_row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
+                                             schema.attr(a).name)));
       comps.insert(loc.comp);
     }
     for (const auto& [col, v] : assigned) {
@@ -369,20 +353,21 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     }
 
     // Column positions of everything we read or write, in the target.
-    std::vector<std::pair<std::string, size_t>> attr_cols;
-    for (const std::string& a : unknown_attrs) {
+    // Assigned columns that were certain still read as old_row: their
+    // fresh constant column holds that value in every present world.
+    hole_cols.clear();
+    for (size_t a : bound.columns()) {
+      if (!old_row[a].is_question()) continue;
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
-                                             InternString(a))));
-      attr_cols.emplace_back(a, static_cast<size_t>(loc.col));
+                                             schema.attr(a).name)));
+      hole_cols.emplace_back(a, static_cast<size_t>(loc.col));
     }
-    std::vector<std::pair<size_t, rel::Value>> assigned_cols;
+    assigned_cols.clear();
     for (const auto& [col, v] : assigned) {
       MAYWSD_ASSIGN_OR_RETURN(
           FieldLoc loc, wsdt.Locate(FieldKey(rel_sym, static_cast<TupleId>(r),
                                              schema.attr(col).name)));
-      std::string name(schema.attr(col).name_view());
-      attr_cols.emplace_back(name, static_cast<size_t>(loc.col));
       assigned_cols.emplace_back(static_cast<size_t>(loc.col), v);
     }
     if (conditional) {
@@ -395,22 +380,15 @@ Status WsdtModifyWhere(Wsdt& wsdt, const std::string& rel,
     for (size_t w = 0; w < comp.NumWorlds(); ++w) {
       if (conditional && !selected[w]) continue;
       bool absent = false;
-      for (const auto& [a, col] : attr_cols) {
+      for (const auto& [a, col] : hole_cols) {
+        old_row[a] = comp.at(w, col);
+        if (old_row[a].is_bottom()) absent = true;
+      }
+      for (const auto& [col, v] : assigned_cols) {
         if (comp.at(w, col).is_bottom()) absent = true;
       }
       if (absent) continue;
-      bool holds = true;
-      if (tri == Tri::kUnknown) {
-        auto get = [&](const std::string& name) -> rel::Value {
-          for (const auto& [a, col] : attr_cols) {
-            if (a == name) return comp.at(w, col);
-          }
-          auto idx = schema.IndexOf(name);
-          return idx ? old_row[*idx] : rel::Value::Bottom();
-        };
-        holds = EvalPredicateResolved(pred, get);
-      }
-      if (holds) {
+      if (tri == rel::Tri::kTrue || bound.Eval(row_ref)) {
         for (const auto& [col, v] : assigned_cols) comp.at(w, col) = v;
       }
     }

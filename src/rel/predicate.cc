@@ -1,5 +1,6 @@
 #include "rel/predicate.h"
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 
@@ -136,7 +137,6 @@ std::string Predicate::ToString() const {
 Result<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
                                             const Schema& schema) {
   BoundPredicate bound;
-  // Recursive flattening into ops_; returns node index or -1 on error.
   Status error = Status::Ok();
   auto resolve = [&](const std::string& name) -> int {
     auto idx = schema.IndexOf(name);
@@ -147,76 +147,117 @@ Result<BoundPredicate> BoundPredicate::Bind(const Predicate& pred,
       }
       return -1;
     }
+    bound.columns_.push_back(*idx);
     return static_cast<int>(*idx);
   };
-  // Explicit stack-free recursion via std::function for clarity; predicate
-  // trees are tiny.
+  // Post-order flattening into nodes_; returns the node index or -1 on
+  // error. Predicate trees are tiny.
   std::function<int(const Predicate&)> build =
       [&](const Predicate& p) -> int {
-    Op op;
-    op.kind = p.kind();
+    Node node;
+    node.kind = p.kind();
     switch (p.kind()) {
       case Predicate::Kind::kTrue:
         break;
       case Predicate::Kind::kCmpConst: {
         int col = resolve(p.lhs_attr());
         if (col < 0) return -1;
-        op.lhs_col = static_cast<size_t>(col);
-        op.cmp = p.op();
-        op.constant = p.constant();
+        node.lhs_col = static_cast<size_t>(col);
+        node.cmp = p.op();
+        node.constant = p.constant();
         break;
       }
       case Predicate::Kind::kCmpAttr: {
         int l = resolve(p.lhs_attr());
         int r = resolve(p.rhs_attr());
         if (l < 0 || r < 0) return -1;
-        op.lhs_col = static_cast<size_t>(l);
-        op.rhs_col = static_cast<size_t>(r);
-        op.cmp = p.op();
+        node.lhs_col = static_cast<size_t>(l);
+        node.rhs_col = static_cast<size_t>(r);
+        node.cmp = p.op();
         break;
       }
       case Predicate::Kind::kAnd:
       case Predicate::Kind::kOr: {
-        op.left = build(p.left());
-        op.right = build(p.right());
-        if (op.left < 0 || op.right < 0) return -1;
+        node.left = build(p.left());
+        node.right = build(p.right());
+        if (node.left < 0 || node.right < 0) return -1;
         break;
       }
       case Predicate::Kind::kNot: {
-        op.left = build(p.left());
-        if (op.left < 0) return -1;
+        node.left = build(p.left());
+        if (node.left < 0) return -1;
         break;
       }
     }
-    bound.ops_.push_back(std::move(op));
-    return static_cast<int>(bound.ops_.size() - 1);
+    bound.nodes_.push_back(std::move(node));
+    return static_cast<int>(bound.nodes_.size() - 1);
   };
   bound.root_ = build(pred);
   if (bound.root_ < 0) return error;
+  std::sort(bound.columns_.begin(), bound.columns_.end());
+  bound.columns_.erase(
+      std::unique(bound.columns_.begin(), bound.columns_.end()),
+      bound.columns_.end());
   return bound;
 }
 
 bool BoundPredicate::EvalNode(int node, TupleRef row) const {
-  const Op& op = ops_[node];
-  switch (op.kind) {
+  const Node& n = nodes_[node];
+  switch (n.kind) {
     case Predicate::Kind::kTrue:
       return true;
     case Predicate::Kind::kCmpConst:
-      return row[op.lhs_col].Satisfies(op.cmp, op.constant);
+      return row[n.lhs_col].Satisfies(n.cmp, n.constant);
     case Predicate::Kind::kCmpAttr:
-      return row[op.lhs_col].Satisfies(op.cmp, row[op.rhs_col]);
+      return row[n.lhs_col].Satisfies(n.cmp, row[n.rhs_col]);
     case Predicate::Kind::kAnd:
-      return EvalNode(op.left, row) && EvalNode(op.right, row);
+      return EvalNode(n.left, row) && EvalNode(n.right, row);
     case Predicate::Kind::kOr:
-      return EvalNode(op.left, row) || EvalNode(op.right, row);
+      return EvalNode(n.left, row) || EvalNode(n.right, row);
     case Predicate::Kind::kNot:
-      return !EvalNode(op.left, row);
+      return !EvalNode(n.left, row);
   }
   return false;
 }
 
-bool BoundPredicate::Eval(TupleRef row) const {
-  return root_ >= 0 && EvalNode(root_, row);
+Tri BoundPredicate::EvalTriNode(int node, TupleRef row) const {
+  const Node& n = nodes_[node];
+  switch (n.kind) {
+    case Predicate::Kind::kTrue:
+      return Tri::kTrue;
+    case Predicate::Kind::kCmpConst: {
+      const Value& v = row[n.lhs_col];
+      if (v.is_question()) return Tri::kUnknown;
+      return v.Satisfies(n.cmp, n.constant) ? Tri::kTrue : Tri::kFalse;
+    }
+    case Predicate::Kind::kCmpAttr: {
+      const Value& l = row[n.lhs_col];
+      const Value& r = row[n.rhs_col];
+      if (l.is_question() || r.is_question()) return Tri::kUnknown;
+      return l.Satisfies(n.cmp, r) ? Tri::kTrue : Tri::kFalse;
+    }
+    case Predicate::Kind::kAnd: {
+      Tri l = EvalTriNode(n.left, row);
+      if (l == Tri::kFalse) return Tri::kFalse;
+      Tri r = EvalTriNode(n.right, row);
+      if (r == Tri::kFalse) return Tri::kFalse;
+      return l == Tri::kTrue && r == Tri::kTrue ? Tri::kTrue : Tri::kUnknown;
+    }
+    case Predicate::Kind::kOr: {
+      Tri l = EvalTriNode(n.left, row);
+      if (l == Tri::kTrue) return Tri::kTrue;
+      Tri r = EvalTriNode(n.right, row);
+      if (r == Tri::kTrue) return Tri::kTrue;
+      return l == Tri::kFalse && r == Tri::kFalse ? Tri::kFalse
+                                                  : Tri::kUnknown;
+    }
+    case Predicate::Kind::kNot: {
+      Tri l = EvalTriNode(n.left, row);
+      if (l == Tri::kUnknown) return Tri::kUnknown;
+      return l == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
+    }
+  }
+  return Tri::kFalse;
 }
 
 }  // namespace maywsd::rel

@@ -78,31 +78,50 @@ class Predicate {
   std::shared_ptr<const Node> node_;
 };
 
+/// Kleene three-valued truth over template rows: '?' fields are unknown.
+enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
+
 /// A predicate with attribute references resolved to column indexes.
+/// Bind once per operator call; evaluation then does no name lookups.
 class BoundPredicate {
  public:
-  /// Resolves `pred` against `schema`; fails on unknown attributes.
-  static Result<BoundPredicate> Bind(const Predicate& pred,
-                                     const Schema& schema);
-
-  /// Evaluates the predicate on one row.
-  bool Eval(TupleRef row) const;
-
- private:
-  struct Op {
-    Predicate::Kind kind;
+  /// One node of the flattened tree; children precede their parent.
+  struct Node {
+    Predicate::Kind kind = Predicate::Kind::kTrue;
     CmpOp cmp = CmpOp::kEq;
     size_t lhs_col = 0;
     size_t rhs_col = 0;
     Value constant;
-    // Children are indexes into the flattened ops_ array.
+    // Children are indexes into nodes().
     int left = -1;
     int right = -1;
   };
 
-  bool EvalNode(int node, TupleRef row) const;
+  /// Resolves `pred` against `schema`; NotFound on unknown attributes.
+  static Result<BoundPredicate> Bind(const Predicate& pred,
+                                     const Schema& schema);
 
-  std::vector<Op> ops_;
+  /// Evaluates the predicate on one row. '?' and ⊥ compare as ordinary
+  /// markers (equal only to themselves), so a per-world check runs this on
+  /// a template row whose '?' columns hold the local world's values.
+  bool Eval(TupleRef row) const { return EvalNode(root_, row); }
+
+  /// Three-valued evaluation on a template row: a comparison reading a '?'
+  /// field is unknown; And/Or/Not follow Kleene logic.
+  Tri EvalTri(TupleRef row) const { return EvalTriNode(root_, row); }
+
+  /// Distinct columns the predicate reads, ascending.
+  const std::vector<size_t>& columns() const { return columns_; }
+
+  const std::vector<Node>& nodes() const { return nodes_; }
+  int root() const { return root_; }
+
+ private:
+  bool EvalNode(int node, TupleRef row) const;
+  Tri EvalTriNode(int node, TupleRef row) const;
+
+  std::vector<Node> nodes_;
+  std::vector<size_t> columns_;
   int root_ = -1;
 };
 

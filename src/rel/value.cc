@@ -1,8 +1,8 @@
 #include "rel/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 
 namespace maywsd::rel {
 
@@ -139,9 +139,10 @@ size_t Value::Hash() const {
       return seed;
     case ValueKind::kDouble: {
       // Keep hash consistent with int==double equality: integral doubles
-      // hash like the corresponding int.
+      // hash like the corresponding int. The range test comes first:
+      // converting a double outside int64 (or ±inf, NaN) is undefined.
       double d = double_;
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
+      if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
         HashCombine(seed, std::hash<int64_t>{}(static_cast<int64_t>(d)));
       } else {
         HashCombine(seed, std::hash<double>{}(d));
@@ -157,31 +158,38 @@ size_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(out);
+  return out;
+}
+
+void Value::AppendTo(std::string& out) const {
+  char buf[32] = {};
+  std::to_chars_result r{};
   switch (kind_) {
     case ValueKind::kBottom:
-      return "\xe2\x8a\xa5";  // ⊥
+      out += "\xe2\x8a\xa5";  // ⊥
+      return;
     case ValueKind::kQuestion:
-      return "?";
+      out += '?';
+      return;
     case ValueKind::kInt:
-      return std::to_string(int_);
-    case ValueKind::kDouble: {
-      std::ostringstream os;
-      os << double_;
-      return os.str();
-    }
-    case ValueKind::kString: {
-      // Built char-by-part: `"'" + std::string(...) + "'"` trips GCC 12's
-      // -Wrestrict false positive (PR105651) under -O3.
-      std::string out;
-      std::string_view sv = AsStringView();
-      out.reserve(sv.size() + 2);
+      r = std::to_chars(buf, buf + sizeof(buf), int_);
+      out.append(buf, r.ptr);
+      return;
+    case ValueKind::kDouble:
+      // %.6g, which is what an ostream prints at its default precision.
+      r = std::to_chars(buf, buf + sizeof(buf), double_,
+                        std::chars_format::general, 6);
+      out.append(buf, r.ptr);
+      return;
+    case ValueKind::kString:
       out += '\'';
-      out += sv;
+      out += AsStringView();
       out += '\'';
-      return out;
-    }
+      return;
   }
-  return "<invalid>";
+  out += "<invalid>";
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

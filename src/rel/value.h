@@ -114,7 +114,12 @@ class Value {
   size_t Hash() const;
 
   /// Rendering for debugging and table output: ⊥, ?, 42, 3.5, 'abc'.
+  /// Doubles print like an ostream at default precision (6 significant
+  /// digits, %g style).
   std::string ToString() const;
+
+  /// Appends ToString()'s text to `out` without a temporary string.
+  void AppendTo(std::string& out) const;
 
  private:
   ValueKind kind_;

@@ -471,24 +471,30 @@ Result<std::string> FormatRequest(const Request& request) {
 
 std::string FormatResponse(const Response& response) {
   if (!response.status.ok()) return "ERR " + response.status.ToString();
-  std::ostringstream os;
-  os << "OK";
+  std::string out = "OK";
   if (response.relation.has_value()) {
     const rel::Relation& r = *response.relation;
-    os << " " << r.NumRows() << " rows";
+    // A guess of a few bytes per cell keeps regrowth rare.
+    out.reserve(16 + r.NumRows() * (1 + 4 * r.arity()));
+    out += ' ';
+    out += std::to_string(r.NumRows());
+    out += " rows";
     for (size_t i = 0; i < r.NumRows(); ++i) {
-      os << "\n";
+      out += '\n';
       const auto row = r.row(i).span();
       for (size_t c = 0; c < row.size(); ++c) {
-        os << (c == 0 ? "" : ",") << row[c].ToString();
+        if (c != 0) out += ',';
+        row[c].AppendTo(out);
       }
     }
   } else if (response.number.has_value()) {
-    os << " " << *response.number;
+    out += ' ';
+    rel::Value::Double(*response.number).AppendTo(out);
   } else if (!response.text.empty()) {
-    os << " " << response.text;
+    out += ' ';
+    out += response.text;
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace maywsd::server

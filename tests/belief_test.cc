@@ -337,6 +337,33 @@ TEST(BeliefKnowledge, ConditioningArithmeticIsExact) {
   }
 }
 
+/// Knows caches one witness per asked tuple. Two doubles that print alike
+/// (6 significant digits) are still distinct tuples: each question gets
+/// its own witness and its own answer, in either order.
+TEST(BeliefKnowledge, NearEqualDoublesGetDistinctWitnesses) {
+  const Value present[] = {Value::Double(1.0)};
+  const Value absent[] = {Value::Double(1.0000001)};
+  for (BackendKind kind : testutil::AllBackendKinds()) {
+    SCOPED_TRACE(BackendKindName(kind));
+    for (bool present_first : {true, false}) {
+      Session session = Session::Open(kind);
+      rel::Relation r(rel::Schema::FromNames({"A"}), "R");
+      r.AppendRow({Value::Double(1.0)});
+      ASSERT_TRUE(session.Register(r).ok());
+      auto agent_or = Agent::Make("a", std::move(session));
+      ASSERT_TRUE(agent_or.ok());
+      Agent agent = std::move(agent_or).value();
+      if (present_first) {
+        EXPECT_TRUE(agent.Knows("R", present).value());
+        EXPECT_FALSE(agent.Knows("R", absent).value());
+      } else {
+        EXPECT_FALSE(agent.Knows("R", absent).value());
+        EXPECT_TRUE(agent.Knows("R", present).value());
+      }
+    }
+  }
+}
+
 /// A game relation squatting on a reserved marker name with the wrong
 /// shape must be rejected at agent construction.
 TEST(BeliefKnowledge, RejectsMalformedReservedRelations) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,6 +102,47 @@ TEST(InternerTest, ConcurrentInterningIsConsistent) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(results[t], results[0]);
   }
+}
+
+/// Lock-free Lookup racing Intern: writers add fresh strings across
+/// several chunk boundaries while readers resolve every symbol below the
+/// published size and round-trip it through Intern. Run under TSan (the
+/// tsan presets enroll this suite) this also checks the publication
+/// ordering.
+TEST(InternerTest, ConcurrentInternAndLookup) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kStrings = 3000;  // per writer: spans several chunks
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([t, &writers_left, &mismatches] {
+      for (int i = 0; i < kStrings; ++i) {
+        std::string name =
+            "stress-" + std::to_string(t) + "-" + std::to_string(i);
+        Symbol sym = InternString(name);
+        if (SymbolName(sym) != name) mismatches.fetch_add(1);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&writers_left, &mismatches] {
+      size_t next = 0;
+      while (writers_left.load() > 0 ||
+             next < StringInterner::Global().size()) {
+        const size_t n = StringInterner::Global().size();
+        for (; next < n; ++next) {
+          Symbol sym = static_cast<Symbol>(next);
+          if (InternString(SymbolName(sym)) != sym) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(SymbolName(InternString("stress-1-2999")), "stress-1-2999");
 }
 
 TEST(RngTest, DeterministicPerSeed) {

@@ -286,6 +286,131 @@ TEST_P(CrossBackendProperty, UnifiedDriverAgreesOnAllBackends) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossBackendProperty, ::testing::Range(0, 15));
 
+// Select-kernel oracle: σ_pred over mixed-kind uncertain data on every
+// backend equals per-world evaluation. The predicates cover all six
+// comparison operators against constants and between attributes, nested
+// under And/Or/Not. Constants include values no world holds (so the
+// U-relations dictionary lacks them), int 1 against double 1.0, and
+// strings. Odd seeds add a certain padding relation whose distinct values
+// make the U-relations dictionary far larger than R, which moves ordered
+// comparisons off the flat per-id verdict table onto per-row comparison.
+class SelectKernelProperty : public ::testing::TestWithParam<int> {};
+
+std::vector<PossibleWorld> MixedWorlds(Rng& rng, bool pad) {
+  const rel::Value pool[] = {I(0),
+                             I(1),
+                             I(2),
+                             rel::Value::Double(2.5),
+                             rel::Value::String("a"),
+                             rel::Value::String("b")};
+  auto draw = [&] { return pool[rng.Uniform(std::size(pool))]; };
+  // Rows in every world become certain template rows; the rest vary.
+  rel::Relation common(rel::Schema::FromNames({"A", "B"}), "R");
+  for (int i = 0; i < 3; ++i) common.AppendRow({draw(), draw()});
+  std::vector<PossibleWorld> worlds(3);
+  for (PossibleWorld& world : worlds) {
+    world.prob = 1.0 / static_cast<double>(worlds.size());
+    rel::Relation r = common;
+    for (uint64_t i = rng.Uniform(4); i > 0; --i) {
+      r.AppendRow({draw(), draw()});
+    }
+    r.SortDedup();
+    world.db.PutRelation(std::move(r));
+    if (pad) {
+      rel::Relation p(rel::Schema::FromNames({"P"}), "PAD");
+      for (int64_t v = 100; v < 300; ++v) p.AppendRow({I(v)});
+      world.db.PutRelation(std::move(p));
+    }
+  }
+  return worlds;
+}
+
+Predicate RandomSelectPredicate(Rng& rng, int depth) {
+  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+  const rel::Value constants[] = {
+      I(1),     rel::Value::Double(1.0),    I(2),
+      I(7),     rel::Value::Double(1.5),    rel::Value::Double(2.5),
+      I(-3),    rel::Value::String("a"),    rel::Value::String("zz")};
+  const char* attrs[] = {"A", "B"};
+  CmpOp op = ops[rng.Uniform(std::size(ops))];
+  switch (depth > 0 ? rng.Uniform(5) : rng.Uniform(2)) {
+    case 0:
+      return Predicate::Cmp(attrs[rng.Uniform(2)], op,
+                            constants[rng.Uniform(std::size(constants))]);
+    case 1:
+      return Predicate::CmpAttr("A", op, "B");
+    case 2:
+      return Predicate::And(RandomSelectPredicate(rng, depth - 1),
+                            RandomSelectPredicate(rng, depth - 1));
+    case 3:
+      return Predicate::Or(RandomSelectPredicate(rng, depth - 1),
+                           RandomSelectPredicate(rng, depth - 1));
+    default:
+      return Predicate::Not(RandomSelectPredicate(rng, depth - 1));
+  }
+}
+
+TEST_P(SelectKernelProperty, EveryBackendMatchesPerWorldSelection) {
+  SeededRng rng(static_cast<uint64_t>(GetParam()) * 6151 + 29);
+  MAYWSD_SEED_TRACE(rng);
+  const std::vector<PossibleWorld> worlds =
+      MixedWorlds(rng, GetParam() % 2 == 1);
+  auto wsd_or = core::WsdFromWorlds(worlds);
+  ASSERT_TRUE(wsd_or.ok());
+  Wsd wsd = std::move(wsd_or).value();
+  ASSERT_TRUE(core::NormalizeWsd(wsd).ok());
+
+  // Every operator against a dictionary value, an absent value and a
+  // string, and between attributes, plain and negated; then random Kleene
+  // trees.
+  std::vector<Predicate> preds;
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                   CmpOp::kGt, CmpOp::kGe}) {
+    preds.push_back(Predicate::Cmp("A", op, rel::Value::Double(1.0)));
+    preds.push_back(Predicate::Cmp("B", op, I(7)));
+    preds.push_back(Predicate::Cmp("A", op, rel::Value::String("a")));
+    preds.push_back(Predicate::CmpAttr("A", op, "B"));
+    preds.push_back(Predicate::Not(Predicate::Cmp("B", op, I(2))));
+    preds.push_back(Predicate::Not(Predicate::CmpAttr("A", op, "B")));
+  }
+  for (int i = 0; i < 8; ++i) preds.push_back(RandomSelectPredicate(rng, 2));
+
+  std::vector<std::vector<PossibleWorld>> expected;
+  for (const Predicate& pred : preds) {
+    auto want = EvaluatePerWorld(
+        worlds, Plan::Select(pred, Plan::Scan("R")), "OUT");
+    ASSERT_TRUE(want.ok()) << pred.ToString();
+    expected.push_back(std::move(want).value());
+  }
+  for (api::BackendKind kind : testutil::AllBackendKinds()) {
+    SCOPED_TRACE(api::BackendKindName(kind));
+    auto session = testutil::OpenSessionOver(kind, wsd);
+    ASSERT_TRUE(session.ok());
+    for (size_t i = 0; i < preds.size(); ++i) {
+      SCOPED_TRACE(preds[i].ToString());
+      const std::string out = "OUT" + std::to_string(i);
+      ASSERT_TRUE(
+          session->Run(Plan::Select(preds[i], Plan::Scan("R")), out).ok());
+      auto got = testutil::SessionWorlds(*session, 1000000, {out});
+      ASSERT_TRUE(got.ok());
+      // Rename the answer to the reference's name before comparing.
+      for (PossibleWorld& w : *got) {
+        auto r = w.db.GetRelation(out);
+        ASSERT_TRUE(r.ok());
+        rel::Relation renamed = **r;
+        renamed.set_name("OUT");
+        w.db = rel::Database();
+        w.db.PutRelation(std::move(renamed));
+      }
+      EXPECT_TRUE(WorldSetsEquivalent(expected[i], *got));
+    }
+    EXPECT_TRUE(testutil::ValidateSession(*session).ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SelectKernelProperty, ::testing::Range(0, 12));
+
 // Randomized pin-teardown leak oracle: pinning a Snapshot and a Fork over
 // a random store, reading through both and running a random plan inside
 // the fork must release every component-store node and cell once the whole

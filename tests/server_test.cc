@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -460,6 +461,42 @@ TEST(ProtocolTest, FormatsResponses) {
   EXPECT_EQ(FormatResponse(ack), "OK opened s");
 
   EXPECT_EQ(FormatResponse(Response{}), "OK");
+}
+
+/// The wire text of every value kind, byte for byte: ⊥, ?, negative
+/// ints, INT64_MIN, doubles in fixed and exponent form, and strings.
+/// Doubles print as an ostream does at its default precision.
+TEST(ProtocolTest, FormatsEveryValueKindByteForByte) {
+  rel::Relation r(rel::Schema::FromNames({"A", "B", "C"}), "R");
+  r.AppendRow({Value::Bottom(), Value::Question(), I(-42)});
+  r.AppendRow({I(INT64_MIN), I(INT64_MAX), I(0)});
+  r.AppendRow({Value::Double(3.5), Value::Double(-0.1),
+               Value::Double(1.0000001)});
+  r.AppendRow({Value::Double(1e-7), Value::Double(1234567.0),
+               Value::Double(-2.5e300)});
+  r.AppendRow({Value::String("abc"), Value::String(""),
+               Value::String("x y")});
+  Response rows;
+  rows.relation = r;
+  EXPECT_EQ(FormatResponse(rows),
+            "OK 5 rows\n"
+            "\xe2\x8a\xa5,?,-42\n"
+            "-9223372036854775808,9223372036854775807,0\n"
+            "3.5,-0.1,1\n"
+            "1e-07,1.23457e+06,-2.5e+300\n"
+            "'abc','','x y'");
+  for (const Value& v : r.data()) {
+    if (!v.is_double()) continue;
+    std::ostringstream os;
+    os << v.AsDouble();
+    EXPECT_EQ(v.ToString(), os.str());
+  }
+
+  Response number;
+  number.number = 1.0 / 3.0;
+  EXPECT_EQ(FormatResponse(number), "OK 0.333333");
+  number.number = 1e-12;
+  EXPECT_EQ(FormatResponse(number), "OK 1e-12");
 }
 
 }  // namespace

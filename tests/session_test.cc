@@ -9,6 +9,7 @@
 
 #include "core/uniform.h"
 #include "core/wsdt.h"
+#include "rel/eval.h"
 #include "tests/test_util.h"
 
 namespace maywsd::api {
@@ -171,6 +172,40 @@ TEST(SessionTest, RegisterRunAnswerOnEveryBackend) {
     // Drop removes the result from the catalog.
     ASSERT_TRUE(session.Drop("OUT").ok());
     EXPECT_FALSE(session.HasRelation("OUT"));
+  }
+}
+
+/// Duplicate merging compares values, not their printed forms: 1.0000001
+/// and 1.0 both print as "1" at 6 significant digits but are distinct
+/// tuples, so project and union keep both on every backend, exactly as
+/// the one-world evaluator does.
+TEST(SessionTest, ProjectAndUnionKeepNearEqualDoubles) {
+  rel::Relation base(rel::Schema::FromNames({"A"}), "R");
+  base.AppendRow({rel::Value::Double(1.0000001)});
+  base.AppendRow({rel::Value::Double(1.0)});
+  rel::Database db;
+  ASSERT_TRUE(db.AddRelation(base).ok());
+  const std::vector<Plan> plans = {
+      Plan::Project({"A"}, Plan::Scan("R")),
+      Plan::Union(Plan::Scan("R"), Plan::Scan("R"))};
+  for (BackendKind kind : testutil::AllBackendKinds()) {
+    Session session = Session::Open(kind);
+    SCOPED_TRACE(std::string(session.BackendName()));
+    ASSERT_TRUE(session.Register(base).ok());
+    for (size_t i = 0; i < plans.size(); ++i) {
+      SCOPED_TRACE(plans[i].ToString());
+      auto expected = rel::Evaluate(plans[i], db);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(expected->NumRows(), 2u);
+      const std::string out = "OUT" + std::to_string(i);
+      ASSERT_TRUE(session.Run(plans[i], out).ok());
+      auto possible = session.PossibleTuples(out);
+      ASSERT_TRUE(possible.ok());
+      EXPECT_TRUE(possible->EqualsAsSet(*expected));
+      auto certain = session.CertainTuples(out);
+      ASSERT_TRUE(certain.ok());
+      EXPECT_TRUE(certain->EqualsAsSet(*expected));
+    }
   }
 }
 

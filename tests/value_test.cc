@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_set>
 
 namespace maywsd::rel {
@@ -26,6 +27,12 @@ TEST(ValueTest, IntDoubleCrossEquality) {
 
 TEST(ValueTest, CrossEqualityHashConsistency) {
   EXPECT_EQ(Value::Int(7).Hash(), Value::Double(7.0).Hash());
+  EXPECT_EQ(Value::Int(-7).Hash(), Value::Double(-7.0).Hash());
+  // Doubles no int64 holds hash as doubles (an undefined conversion
+  // otherwise); the selection driver uses -inf as a constant.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value::Double(-inf).Hash(), Value::Double(-inf).Hash());
+  EXPECT_NE(Value::Double(1e300).Hash(), Value::Double(-inf).Hash());
 }
 
 TEST(ValueTest, StringInterningEquality) {

@@ -261,9 +261,19 @@ TEST(WsdAlgebraGolden, OrAndNotPredicates) {
 
 TEST(WsdAlgebraGolden, NegatePredicateFlipsOperators) {
   // The negation pushdown lives in the shared engine driver now.
+  // ¬(A<3) ≡ A≥3 ∨ A≥'': strings are incomparable with 3, so they
+  // satisfy the negation too.
   Predicate p = Predicate::Cmp("A", CmpOp::kLt, I(3));
   Predicate n = engine::NegatePredicate(p);
-  EXPECT_EQ(n.op(), CmpOp::kGe);
+  ASSERT_EQ(n.kind(), Predicate::Kind::kOr);
+  EXPECT_EQ(n.left().op(), CmpOp::kGe);
+  EXPECT_EQ(n.left().constant(), I(3));
+  EXPECT_EQ(n.right().op(), CmpOp::kGe);
+  EXPECT_EQ(n.right().constant(), rel::Value::String(""));
+  // (In)equality flips alone.
+  EXPECT_EQ(engine::NegatePredicate(Predicate::Cmp("A", CmpOp::kEq, I(3)))
+                .op(),
+            CmpOp::kNe);
   Predicate dn = engine::NegatePredicate(Predicate::Not(p));
   EXPECT_EQ(dn.op(), CmpOp::kLt);
 }

@@ -37,44 +37,49 @@ void ExpectWsdtOracleEquivalent(const Wsd& wsd_in, const Plan& plan,
   EXPECT_TRUE(WorldSetsEquivalent(*expected, *actual)) << label;
 }
 
-TEST(TriEvalTest, ThreeValuedLogic) {
+/// Three-valued verdict of `pred` bound to `schema` on `row`.
+rel::Tri EvalTri(const Predicate& pred, const rel::Schema& schema,
+                 rel::TupleRef row) {
+  return rel::BoundPredicate::Bind(pred, schema).value().EvalTri(row);
+}
+
+TEST(BoundPredicateTriTest, ThreeValuedLogic) {
   rel::Schema schema = rel::Schema::FromNames({"A", "B"});
   rel::Relation r(schema, "T");
   r.AppendRow({I(1), testutil::Q()});
   rel::TupleRef row = r.row(0);
   // Certain comparisons.
-  EXPECT_EQ(TriEvalPredicate(Predicate::Cmp("A", CmpOp::kEq, I(1)), schema,
-                             row)
-                .value(),
-            Tri::kTrue);
+  EXPECT_EQ(EvalTri(Predicate::Cmp("A", CmpOp::kEq, I(1)), schema, row),
+            rel::Tri::kTrue);
   // Unknown comparisons.
-  EXPECT_EQ(TriEvalPredicate(Predicate::Cmp("B", CmpOp::kEq, I(1)), schema,
-                             row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(EvalTri(Predicate::Cmp("B", CmpOp::kEq, I(1)), schema, row),
+            rel::Tri::kUnknown);
   // Kleene: false AND unknown = false; true OR unknown = true.
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::And(Predicate::Cmp("A", CmpOp::kEq, I(9)),
-                               Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kFalse);
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::Or(Predicate::Cmp("A", CmpOp::kEq, I(1)),
-                              Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kTrue);
-  EXPECT_EQ(TriEvalPredicate(
-                Predicate::Not(Predicate::Cmp("B", CmpOp::kEq, I(1))),
-                schema, row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(EvalTri(Predicate::And(Predicate::Cmp("A", CmpOp::kEq, I(9)),
+                                   Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kFalse);
+  EXPECT_EQ(EvalTri(Predicate::Or(Predicate::Cmp("A", CmpOp::kEq, I(1)),
+                                  Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kTrue);
+  EXPECT_EQ(EvalTri(Predicate::Not(Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kUnknown);
+  // Kleene: false OR unknown = unknown; NOT of a known value flips it.
+  EXPECT_EQ(EvalTri(Predicate::Or(Predicate::Cmp("A", CmpOp::kEq, I(9)),
+                                  Predicate::Cmp("B", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kUnknown);
+  EXPECT_EQ(EvalTri(Predicate::Not(Predicate::Cmp("A", CmpOp::kEq, I(1))),
+                    schema, row),
+            rel::Tri::kFalse);
+  EXPECT_EQ(EvalTri(Predicate::Not(Predicate::Cmp("A", CmpOp::kGt, I(1))),
+                    schema, row),
+            rel::Tri::kTrue);
   // Attribute-attribute with an unknown side.
-  EXPECT_EQ(TriEvalPredicate(Predicate::CmpAttr("A", CmpOp::kEq, "B"),
-                             schema, row)
-                .value(),
-            Tri::kUnknown);
+  EXPECT_EQ(EvalTri(Predicate::CmpAttr("A", CmpOp::kEq, "B"), schema, row),
+            rel::Tri::kUnknown);
 }
 
 class WsdtAlgebraProperty : public ::testing::TestWithParam<int> {};
