@@ -53,7 +53,9 @@ int main() {
   if (!uniform_or.ok()) return 1;
   auto urel_or = api::Session::Open(api::BackendKind::kUrel, wsdt);
   if (!urel_or.ok()) return 1;
-  api::Session sessions[] = {api::Session::Open(std::move(wsd)),
+  auto wsd_or = api::Session::Open(std::move(wsd));
+  if (!wsd_or.ok()) return 1;
+  api::Session sessions[] = {std::move(wsd_or).value(),
                              api::Session::Open(std::move(wsdt)),
                              std::move(uniform_or).value(),
                              std::move(urel_or).value()};

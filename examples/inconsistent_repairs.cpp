@@ -84,7 +84,12 @@ int main() {
       stats.template_rows, stats.num_components);
 
   // Query: engineers earning at least 90000 — through the Session facade.
-  api::Session session = api::Session::Open(std::move(wsd));
+  auto session_or = api::Session::Open(std::move(wsd));
+  if (!session_or.ok()) {
+    std::printf("open failed: %s\n", session_or.status().ToString().c_str());
+    return 1;
+  }
+  api::Session session = std::move(session_or).value();
   rel::Plan q = rel::Plan::Project(
       {"EMP"},
       rel::Plan::Select(

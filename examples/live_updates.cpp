@@ -112,8 +112,8 @@ Status RunScenario(api::Session& session, const char* backend) {
 int main() {
   core::Wsd wsd = Inventory();
 
-  api::Session over_wsd = api::Session::Open(core::Wsd(wsd));
-  if (!RunScenario(over_wsd, "wsd").ok()) return 1;
+  auto over_wsd = api::Session::Open(core::Wsd(wsd));
+  if (!over_wsd.ok() || !RunScenario(*over_wsd, "wsd").ok()) return 1;
 
   auto wsdt = core::Wsdt::FromWsd(wsd);
   if (!wsdt.ok()) return 1;

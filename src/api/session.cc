@@ -7,6 +7,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -16,7 +17,6 @@
 #include "core/engine/uniform_backend.h"
 #include "core/engine/update_plan.h"
 #include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/component_store.h"
 #include "core/confidence.h"
@@ -70,10 +70,10 @@ struct AnswerEntry {
 
 /// The owned representation plus its engine adapter. The variant lives in
 /// a heap-allocated Rep so the adapter's pointer into it stays stable
-/// across Session moves.
+/// across Session moves. kWsd and kWsdt both hold a Wsdt.
 struct Session::Rep {
   BackendKind kind;
-  std::variant<core::Wsd, core::Wsdt, rel::Database, core::Urel> data;
+  std::variant<core::Wsdt, rel::Database, core::Urel> data;
   std::unique_ptr<core::engine::WorldSetOps> backend;
   SessionOptions options;
   // Two-level locking, always state_mu before cache_mu:
@@ -143,14 +143,14 @@ Session::~Session() = default;
 Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 
-Session Session::Open(core::Wsd wsd, SessionOptions options) {
-  auto rep = std::make_unique<Rep>();
-  rep->kind = BackendKind::kWsd;
-  rep->data = std::move(wsd);
-  rep->backend = std::make_unique<core::engine::WsdBackend>(
-      std::get<core::Wsd>(rep->data));
-  rep->options = options;
-  return Session(std::move(rep));
+Result<Session> Session::Open(core::Wsd wsd, SessionOptions options) {
+  if (Status st = wsd.Validate(); !st.ok()) {
+    return Status::InvalidArgument("invalid WSD: " + st.message());
+  }
+  MAYWSD_ASSIGN_OR_RETURN(core::Wsdt wsdt, core::Wsdt::FromWsd(wsd));
+  Session session = Open(std::move(wsdt), options);
+  session.rep_->kind = BackendKind::kWsd;
+  return session;
 }
 
 Session Session::Open(core::Wsdt wsdt, SessionOptions options) {
@@ -186,7 +186,6 @@ Session Session::Open(core::Urel urel, SessionOptions options) {
 Session Session::Open(BackendKind kind, SessionOptions options) {
   switch (kind) {
     case BackendKind::kWsd:
-      return Open(core::Wsd(), options);
     case BackendKind::kWsdt:
       break;
     case BackendKind::kUniform:
@@ -195,16 +194,15 @@ Session Session::Open(BackendKind kind, SessionOptions options) {
     case BackendKind::kUrel:
       return Open(core::Urel(), options);
   }
-  return Open(core::Wsdt(), options);
+  Session session = Open(core::Wsdt(), options);
+  session.rep_->kind = kind;
+  return session;
 }
 
 Result<Session> Session::Open(BackendKind kind, const core::Wsdt& wsdt,
                               SessionOptions options) {
   switch (kind) {
-    case BackendKind::kWsd: {
-      MAYWSD_ASSIGN_OR_RETURN(core::Wsd wsd, wsdt.ToWsd());
-      return Open(std::move(wsd), options);
-    }
+    case BackendKind::kWsd:
     case BackendKind::kWsdt:
       break;
     case BackendKind::kUniform: {
@@ -216,13 +214,15 @@ Result<Session> Session::Open(BackendKind kind, const core::Wsdt& wsdt,
       return Open(std::move(urel), options);
     }
   }
-  return Open(core::Wsdt(wsdt), options);
+  Session session = Open(core::Wsdt(wsdt), options);
+  session.rep_->kind = kind;
+  return session;
 }
 
 BackendKind Session::kind() const { return rep_->kind; }
 
 std::string_view Session::BackendName() const {
-  return rep_->backend->BackendName();
+  return BackendKindName(rep_->kind);
 }
 
 bool Session::HasRelation(std::string_view name) const {
@@ -362,26 +362,16 @@ Session Session::CowClone(SessionOptions clone_options,
   // columns and symbols). The reader lock orders the pin against in-flight
   // writers; after that, the store's acquire/release refcounts make the
   // shared state safe without further coordination.
-  std::optional<Session> clone;
-  switch (rep_->kind) {
-    case BackendKind::kWsd:
-      clone = Open(core::Wsd(std::get<core::Wsd>(rep_->data)), clone_options);
-      break;
-    case BackendKind::kWsdt:
-      clone = Open(core::Wsdt(std::get<core::Wsdt>(rep_->data)), clone_options);
-      break;
-    case BackendKind::kUniform:
-      clone = Open(rel::Database(std::get<rel::Database>(rep_->data)),
-                   clone_options);
-      break;
-    case BackendKind::kUrel:
-      clone = Open(core::Urel(std::get<core::Urel>(rep_->data)), clone_options);
-      break;
-  }
+  Session clone = std::visit(
+      [&clone_options](const auto& data) {
+        return Open(std::decay_t<decltype(data)>(data), clone_options);
+      },
+      rep_->data);
+  clone.rep_->kind = rep_->kind;
   std::lock_guard<std::mutex> lock(rep_->cache_mu);
   if (versions != nullptr) *versions = rep_->versions;
-  clone->rep_->versions = rep_->versions;
-  return std::move(*clone);
+  clone.rep_->versions = rep_->versions;
+  return clone;
 }
 
 api::Snapshot Session::Snapshot() const {
@@ -623,14 +613,6 @@ const core::engine::WorldSetOps& Session::ops() const {
   return *rep_->backend;
 }
 
-core::Wsd* Session::wsd() {
-  std::unique_lock<std::shared_mutex> write(rep_->state_mu);
-  rep_->InvalidateAll();
-  return std::get_if<core::Wsd>(&rep_->data);
-}
-const core::Wsd* Session::wsd() const {
-  return std::get_if<core::Wsd>(&rep_->data);
-}
 core::Wsdt* Session::wsdt() {
   std::unique_lock<std::shared_mutex> write(rep_->state_mu);
   rep_->InvalidateAll();

@@ -13,10 +13,14 @@
 // through one interface regardless of which backend holds the data.
 //
 // Representation-level tooling (chase, normalization, statistics, or-set
-// noise) stays below the facade; wsd()/wsdt()/uniform()/urel() expose the
-// owned representation for it. The historical per-representation entry
-// points (WsdEvaluate, WsdtEvaluate*, confidence.h, wsdt_confidence.h)
-// remain as thin compatibility shims over the same engine code.
+// noise) stays below the facade; wsdt()/uniform()/urel() expose the owned
+// representation for it. A kWsd session keeps its world set as a WSDT
+// (a WSD plus a template over the same components) and runs on the WSDT
+// engine: Open(core::Wsd) converts once with Wsdt::FromWsd, and
+// Wsdt::ToWsd gives the Section 4 view back. The historical
+// per-representation entry points (WsdEvaluate, WsdtEvaluate*,
+// confidence.h, wsdt_confidence.h) remain as thin compatibility shims over
+// the same engine code.
 //
 // Concurrency: a Session is internally synchronized. Mutators (Register,
 // Drop, Run*, Apply*, the mutable representation accessors) serialize
@@ -139,8 +143,11 @@ class Session {
   /// Over an empty store of the given kind.
   static Session Open(BackendKind kind, SessionOptions options = {});
 
-  /// Over an existing Section 4 world-set decomposition.
-  static Session Open(core::Wsd wsd, SessionOptions options = {});
+  /// A kWsd session over an existing Section 4 world-set decomposition,
+  /// converted once with Wsdt::FromWsd (slots invalid in every world are
+  /// dropped; presence fields fold into ⊥s). The session holds the WSDT,
+  /// not `wsd`. InvalidArgument when `wsd` fails Wsd::Validate.
+  static Result<Session> Open(core::Wsd wsd, SessionOptions options = {});
 
   /// Over an existing Section 5 template decomposition.
   static Session Open(core::Wsdt wsdt, SessionOptions options = {});
@@ -152,8 +159,8 @@ class Session {
   /// Over an existing columnar U-relations store.
   static Session Open(core::Urel urel, SessionOptions options = {});
 
-  /// Over the `kind` encoding of an existing WSDT (kWsd via ToWsd, kWsdt
-  /// by copy, kUniform via ExportUniform, kUrel via ExportUrel).
+  /// Over the `kind` encoding of an existing WSDT (kWsd and kWsdt adopt a
+  /// copy as is, kUniform via ExportUniform, kUrel via ExportUrel).
   static Result<Session> Open(BackendKind kind, const core::Wsdt& wsdt,
                               SessionOptions options = {});
 
@@ -164,8 +171,8 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   BackendKind kind() const;
-  /// Backend tag as reported by the engine ("wsd", "wsdt", "uniform",
-  /// "urel").
+  /// BackendKindName(kind()): "wsd", "wsdt", "uniform" or "urel". (A kWsd
+  /// session's ops().BackendName() is "wsdt" — the engine that serves it.)
   std::string_view BackendName() const;
 
   // -- Execution policy ------------------------------------------------------
@@ -299,8 +306,7 @@ class Session {
   const core::engine::WorldSetOps& ops() const;
 
   /// The owned representation; non-null only for the matching kind().
-  core::Wsd* wsd();
-  const core::Wsd* wsd() const;
+  /// wsdt() serves both kWsd and kWsdt (Wsdt::ToWsd gives the WSD view).
   core::Wsdt* wsdt();
   const core::Wsdt* wsdt() const;
   rel::Database* uniform();

@@ -1,6 +1,5 @@
 #include "core/engine/plan_driver.h"
 
-#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -8,24 +7,19 @@
 
 namespace maywsd::core::engine {
 
-namespace {
-
-/// Process-wide counter so scratch names are unique across evaluations,
-/// backends and threads (kept temps from one run never collide with the
-/// next run's).
-std::atomic<uint64_t> g_scratch_counter{0};
-
-}  // namespace
-
 ScratchScope::~ScratchScope() {
   // Best effort on unwind; the in-flight error has priority.
   if (!temps_.empty()) (void)DropAll();
 }
 
 std::string ScratchScope::Fresh() {
-  std::string name =
-      "__eng_tmp" +
-      std::to_string(g_scratch_counter.fetch_add(1, std::memory_order_relaxed));
+  // Every name below next_ was issued by this scope or skipped because the
+  // backend holds it (a kept temp of an earlier evaluation), so counting
+  // up from next_ issues increasing, unused names.
+  std::string name;
+  do {
+    name = "__eng_tmp" + std::to_string(next_++);
+  } while (ops_->HasRelation(name));
   temps_.push_back(name);
   return name;
 }
@@ -220,12 +214,7 @@ Result<std::string> EvalPlanUncached(WorldSetOps& ops, ScratchScope& scope,
       MAYWSD_ASSIGN_OR_RETURN(std::string child,
                               EvalPlan(ops, scope, plan.child(), cache));
       std::string out = scope.Fresh();
-      if (ops.SupportsProjectExists()) {
-        MAYWSD_RETURN_IF_ERROR(
-            ops.ProjectExists(child, out, plan.attributes()));
-      } else {
-        MAYWSD_RETURN_IF_ERROR(ops.Project(child, out, plan.attributes()));
-      }
+      MAYWSD_RETURN_IF_ERROR(ops.Project(child, out, plan.attributes()));
       return out;
     }
     case K::kRename: {

@@ -18,6 +18,7 @@
 #ifndef MAYWSD_CORE_ENGINE_PLAN_DRIVER_H_
 #define MAYWSD_CORE_ENGINE_PLAN_DRIVER_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -31,8 +32,12 @@
 namespace maywsd::core::engine {
 
 /// Tracks the scratch relations of one evaluation. Fresh() hands out
-/// process-unique names (so overlapping or kept evaluations never
-/// collide); the destructor best-effort-drops whatever is still tracked.
+/// __eng_tmp<k> with k increasing in creation order from 0, skipping
+/// names the backend already holds (kept temps of an earlier evaluation),
+/// so the set of scratch names — each interned for the process lifetime —
+/// stays bounded by the largest evaluation instead of growing per run.
+/// Scopes over the same backend must not overlap in time. The destructor
+/// best-effort-drops whatever is still tracked.
 class ScratchScope {
  public:
   explicit ScratchScope(WorldSetOps& ops) : ops_(&ops) {}
@@ -56,6 +61,7 @@ class ScratchScope {
  private:
   WorldSetOps* ops_;
   std::vector<std::string> temps_;
+  uint64_t next_ = 0;  ///< k of the next candidate name
 };
 
 /// Rewrites ¬p by pushing the negation to comparison leaves (De Morgan on

@@ -129,7 +129,8 @@ class WorldSetOps {
  public:
   virtual ~WorldSetOps() = default;
 
-  /// Human-readable backend tag ("wsd", "wsdt"); used in error messages.
+  /// Human-readable backend tag ("wsdt", "uniform", "urel"); used in error
+  /// messages.
   virtual std::string_view BackendName() const = 0;
 
   // -- Catalog --------------------------------------------------------------
@@ -264,9 +265,10 @@ class WorldSetOps {
   /// True when ProjectExists() implements projection with the "exists
   /// column" optimization (Section 4 Discussion): the ⊥ pattern of a
   /// projected-away column survives as an extra-schema presence field
-  /// instead of being composed into the kept components, so projections
-  /// never pay component products. The driver then routes kProject nodes
-  /// through ProjectExists().
+  /// instead of being composed into the kept components. No backend
+  /// implements it and the plan driver lowers every kProject through
+  /// Project(); the pair stays because decorating backends (perfbench's
+  /// TracedOps) override it, and goes with the next change to them.
   virtual bool SupportsProjectExists() const { return false; }
 
   /// out := π_attrs(src), keeping deletion patterns as presence fields.
@@ -298,8 +300,10 @@ class WorldSetOps {
   // that share no components can evaluate a plan slice-by-slice in
   // parallel. A backend opts in per operator kind; the driver falls back
   // to single-shard execution when any operator in the plan is not
-  // declared shardable (e.g. the component-composing WSD Product and
-  // Difference).
+  // declared shardable. Every built-in backend declares every operator
+  // shardable and declines through PlanShards instead (cost gates, no
+  // independent tuple groups); the per-operator hook stays for decorating
+  // backends (perfbench's TracedOps forwards it).
 
   /// True when plans containing this operator kind may run sharded on this
   /// backend. Conservative default: nothing is shardable.

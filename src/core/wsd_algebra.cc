@@ -4,7 +4,8 @@
 #include <set>
 
 #include "core/engine/plan_driver.h"
-#include "core/engine/wsd_backend.h"
+#include "core/engine/wsdt_backend.h"
+#include "core/wsdt.h"
 
 namespace maywsd::core {
 
@@ -539,8 +540,11 @@ Status WsdDifference(Wsd& wsd, const std::string& left,
 
 Status WsdEvaluate(Wsd& wsd, const rel::Plan& plan, const std::string& out,
                    bool keep_temps) {
-  engine::WsdBackend backend(wsd);
-  return engine::Evaluate(backend, plan, out, keep_temps);
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Wsdt::FromWsd(wsd));
+  engine::WsdtBackend backend(wsdt);
+  MAYWSD_RETURN_IF_ERROR(engine::Evaluate(backend, plan, out, keep_temps));
+  MAYWSD_ASSIGN_OR_RETURN(wsd, wsdt.ToWsd());
+  return Status::Ok();
 }
 
 }  // namespace maywsd::core

@@ -7,11 +7,9 @@
 // components (Figure 12); projection and attribute-attribute selection may
 // compose components.
 //
-// WsdEvaluate() drives a full rel::Plan through these operators via the
-// shared engine driver (core/engine/plan_driver.h): conjunctive selections
-// become operator chains, disjunctions become unions of selections,
-// negations are pushed to the leaves, and joins are lowered to product
-// followed by selections.
+// These operators are the paper-figure reference implementation; plans
+// run on the WSDT engine. WsdEvaluate() converts at the boundary
+// (Wsdt::FromWsd, the shared engine driver over a WSDT, Wsdt::ToWsd).
 
 #ifndef MAYWSD_CORE_WSD_ALGEBRA_H_
 #define MAYWSD_CORE_WSD_ALGEBRA_H_
@@ -71,11 +69,15 @@ Status WsdRename(Wsd& wsd, const std::string& src, const std::string& out,
 Status WsdDifference(Wsd& wsd, const std::string& left,
                      const std::string& right, const std::string& out);
 
-/// Evaluates an arbitrary relational algebra plan over the WSD through the
-/// shared engine driver, adding the result under `out`. Leaf scans refer
-/// to relations already in the WSD. Intermediate temporaries are dropped
-/// unless `keep_temps`. (The plan lowering itself — including
-/// NegatePredicate — lives in core/engine/plan_driver.h.)
+/// Evaluates an arbitrary relational algebra plan over the WSD, adding the
+/// result under `out`. Leaf scans refer to relations already in the WSD.
+/// Intermediate temporaries are dropped unless `keep_temps`. Runs on the
+/// WSDT engine: `wsd` is converted with Wsdt::FromWsd, the plan is
+/// evaluated through the shared engine driver, and `wsd` is replaced by
+/// the ToWsd of the result — the same world set for every relation, but a
+/// different decomposition (slots invalid in every world are gone,
+/// presence fields are folded into ⊥s, certain fields are singleton
+/// components). On error `wsd` is left unchanged.
 ///
 /// Compatibility shim: new code should open an api::Session over the Wsd
 /// (Session::Open) and call Run(); this entry point remains for callers

@@ -24,10 +24,30 @@ std::string_view CmpOpName(CmpOp op) {
   return "?";
 }
 
+namespace {
+
+/// Exact three-way order of an int and a double: no rounding of `i` to
+/// double, so 2⁵³+1 stays above 2⁵³. They are equal only when `d` is
+/// integral, inside the int64 range and equal after conversion. NaN sorts
+/// above every int.
+int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d) || d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  double t = std::trunc(d);  // in [-2⁶³, 2⁶³): the conversion is defined
+  int64_t ti = static_cast<int64_t>(t);
+  if (i != ti) return i < ti ? -1 : 1;
+  if (d == t) return 0;
+  return d > t ? -1 : 1;
+}
+
+}  // namespace
+
 bool Value::operator==(const Value& other) const {
   if (is_numeric() && other.is_numeric()) {
     if (is_int() && other.is_int()) return int_ == other.int_;
-    return AsDouble() == other.AsDouble();
+    if (is_int()) return CompareIntDouble(int_, other.double_) == 0;
+    if (other.is_int()) return CompareIntDouble(other.int_, double_) == 0;
+    return double_ == other.double_;
   }
   if (kind_ != other.kind_) return false;
   switch (kind_) {
@@ -74,10 +94,11 @@ int Value::Compare(const Value& other) const {
         if (int_ != other.int_) return int_ < other.int_ ? -1 : 1;
         return 0;
       }
-      [[fallthrough]];
+      return CompareIntDouble(int_, other.double_);
     case ValueKind::kDouble: {
-      double a = AsDouble();
-      double b = other.AsDouble();
+      if (other.is_int()) return -CompareIntDouble(other.int_, double_);
+      double a = double_;
+      double b = other.double_;
       if (a != b) return a < b ? -1 : 1;
       return 0;
     }

@@ -6,7 +6,7 @@
 // U-relations — testutil::AllBackendKinds), across 100+ seeded iterations. Plans cover both the sharded path (single-scan
 // select/project/rename chains, products/joins/differences against a
 // certain auxiliary) and the fallback path (unions, repeated scans,
-// component-composing WSD operators).
+// plans a backend's cost gate declines).
 //
 // Also here: a deterministic known-shardable case per backend (so the
 // fan-out path itself cannot silently stop being exercised), a
@@ -193,6 +193,7 @@ TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
   // The U-relations and WSDT backends decline single-leaf plans (building
   // a shard slice costs about as much as the one pass a unary chain
   // performs), so their known-shardable cases carry a certain join leaf.
+  // WSD sessions run on the WSDT engine and share its gate.
   Plan linear = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
                              Plan::Scan("R"));
   Plan join = Plan::Join(Predicate::CmpAttr("A", CmpOp::kEq, "C"),
@@ -204,10 +205,7 @@ TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
   Wsdt wsdt = KnownShardableWsdt();
 
   for (api::BackendKind kind : testutil::AllBackendKinds()) {
-    const Plan& plan = (kind == api::BackendKind::kUrel ||
-                        kind == api::BackendKind::kWsdt)
-                           ? join
-                           : linear;
+    const Plan& plan = kind == api::BackendKind::kUniform ? linear : join;
     auto seq_or = api::Session::Open(kind, wsdt);
     auto par_or = api::Session::Open(kind, wsdt);
     ASSERT_TRUE(seq_or.ok() && par_or.ok());
@@ -234,16 +232,18 @@ TEST(ParallelSessionTest, ShardedPathActuallyRunsOnAllBackends) {
 }
 
 TEST(ParallelSessionTest, CostGateDeclinesFanOutForSingleLeafPlans) {
-  // Cost gate (urel and wsdt): a unary select/project chain over one leaf
-  // is a single bandwidth-bound pass; building shard slices would copy
-  // the partitioned relation first, so the threaded run must take the
-  // sequential path — and still produce the same world set.
+  // Cost gate (urel, and wsdt — which also serves wsd sessions): a unary
+  // select/project chain over one leaf is a single bandwidth-bound pass;
+  // building shard slices would copy the partitioned relation first, so
+  // the threaded run must take the sequential path — counted as a
+  // fallback run — and still produce the same world set.
   Plan plan = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
                            Plan::Scan("R"));
   Wsdt wsdt = KnownShardableWsdt();
 
   for (api::BackendKind kind :
-       {api::BackendKind::kUrel, api::BackendKind::kWsdt}) {
+       {api::BackendKind::kUrel, api::BackendKind::kWsdt,
+        api::BackendKind::kWsd}) {
     auto seq_or = api::Session::Open(kind, wsdt);
     auto par_or = api::Session::Open(kind, wsdt);
     ASSERT_TRUE(seq_or.ok() && par_or.ok());
@@ -255,6 +255,8 @@ TEST(ParallelSessionTest, CostGateDeclinesFanOutForSingleLeafPlans) {
     ASSERT_TRUE(par.Run(plan, "OUT").ok());
     EXPECT_EQ(par.Stats().sharded_runs, 0u) << api::BackendKindName(kind);
     EXPECT_EQ(par.Stats().shards_executed, 0u) << api::BackendKindName(kind);
+    EXPECT_EQ(par.Stats().fallback_runs, 1u) << api::BackendKindName(kind);
+    EXPECT_EQ(seq.Stats().fallback_runs, 0u) << api::BackendKindName(kind);
 
     auto seq_worlds = OutWorlds(seq);
     auto par_worlds = OutWorlds(par);
@@ -268,9 +270,9 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
   // Unconditional deletes/modifies fan out over the same shard slices Run
   // uses (slice once per run, mutate each slice, stream them back). The
   // world set after a threaded ApplyAll must equal the sequential one on
-  // every backend; wsdt must actually take the sharded path, while wsd
-  // (absorb folds presence fields — superlinear), uniform and urel
-  // (native one-pass updates beat the slice round trip) decline it.
+  // every backend; wsdt and wsd (which runs on the WSDT engine) must
+  // actually take the sharded path, while uniform and urel (native
+  // one-pass updates beat the slice round trip) decline it.
   std::vector<rel::UpdateOp> updates;
   updates.push_back(rel::UpdateOp::ModifyWhere(
       "R", Predicate::Cmp("A", CmpOp::kEq, I(1)), {{"A", I(9)}}));
@@ -289,7 +291,8 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
     ASSERT_TRUE(seq.ApplyAll(updates).ok()) << api::BackendKindName(kind);
     ASSERT_TRUE(par.ApplyAll(updates).ok()) << api::BackendKindName(kind);
 
-    bool shards_updates = kind == api::BackendKind::kWsdt;
+    bool shards_updates =
+        kind == api::BackendKind::kWsdt || kind == api::BackendKind::kWsd;
     EXPECT_EQ(par.Stats().sharded_applies, shards_updates ? 2u : 0u)
         << api::BackendKindName(kind);
     EXPECT_EQ(seq.Stats().sharded_applies, 0u);
@@ -303,28 +306,48 @@ TEST(ParallelSessionTest, ShardedApplyMatchesSequentialApply) {
   }
 }
 
-TEST(ParallelSessionTest, FallbackDeclaredForWsdProduct) {
-  // WSD declares Product non-shardable; the run must fall back (and still
-  // be correct — covered by the property above). WSDT shards the same
-  // plan.
-  Plan plan = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+TEST(ParallelSessionTest, WsdSessionShardsProductLikeWsdt) {
+  // A session opened over a WSD runs on the WSDT engine, so it shards the
+  // product against a certain relation exactly as a WSDT session does,
+  // and a plan the engine declines (a single-leaf selection) falls back
+  // to one shard and is counted as a fallback run. Both must match the
+  // sequential world set.
+  Plan product = Plan::Product(Plan::Scan("R"), Plan::Scan("S"));
+  Plan single_leaf = Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(0)),
+                                  Plan::Scan("R"));
   Wsdt wsdt = KnownShardableWsdt();
   rel::Relation s(rel::Schema::FromNames({"C"}), "S");
   s.AppendRow({I(9)});
 
   auto wsd = wsdt.ToWsd();
   ASSERT_TRUE(wsd.ok());
-  api::Session wsd_session =
-      api::Session::Open(*wsd, {.threads = 4, .cache = true});
-  ASSERT_TRUE(wsd_session.Register(s).ok());
-  ASSERT_TRUE(wsd_session.Run(plan, "OUT").ok());
-  EXPECT_EQ(wsd_session.Stats().sharded_runs, 0u);
-  EXPECT_EQ(wsd_session.Stats().fallback_runs, 1u);
+  auto par_or = api::Session::Open(*wsd, {.threads = 4, .cache = true});
+  auto seq_or = api::Session::Open(*wsd);
+  ASSERT_TRUE(par_or.ok() && seq_or.ok());
+  api::Session par = std::move(par_or).value();
+  api::Session seq = std::move(seq_or).value();
+  ASSERT_EQ(par.kind(), api::BackendKind::kWsd);
+  ASSERT_TRUE(par.Register(s).ok());
+  ASSERT_TRUE(seq.Register(s).ok());
+
+  ASSERT_TRUE(par.Run(product, "OUT").ok());
+  ASSERT_TRUE(seq.Run(product, "OUT").ok());
+  EXPECT_EQ(par.Stats().sharded_runs, 1u);
+  EXPECT_GE(par.Stats().shards_executed, 2u);
+  EXPECT_EQ(par.Stats().fallback_runs, 0u);
+  auto par_worlds = OutWorlds(par);
+  auto seq_worlds = OutWorlds(seq);
+  ASSERT_TRUE(par_worlds.ok() && seq_worlds.ok());
+  EXPECT_TRUE(WorldSetsEquivalent(*seq_worlds, *par_worlds));
+
+  ASSERT_TRUE(par.Run(single_leaf, "OUT2").ok());
+  EXPECT_EQ(par.Stats().sharded_runs, 1u);
+  EXPECT_EQ(par.Stats().fallback_runs, 1u);
 
   api::Session wsdt_session =
       api::Session::Open(Wsdt(wsdt), {.threads = 4, .cache = true});
   ASSERT_TRUE(wsdt_session.Register(s).ok());
-  ASSERT_TRUE(wsdt_session.Run(plan, "OUT").ok());
+  ASSERT_TRUE(wsdt_session.Run(product, "OUT").ok());
   EXPECT_EQ(wsdt_session.Stats().sharded_runs, 1u);
 }
 

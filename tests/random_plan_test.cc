@@ -1,12 +1,15 @@
 // Randomized whole-plan property tests: random relational algebra trees
-// are evaluated through (a) per-world brute force, (b) the Figure 9 WSD
-// operators, and (c) the Section 5 WSDT operators — all three must agree
-// on every seed (Theorem 1 end to end, including operator composition
-// effects like ⊥-propagation across stacked operators).
+// are evaluated through (a) per-world brute force, (b) WsdEvaluate over a
+// WSD (converted to a WSDT and back at the boundary), and (c) the
+// Section 5 WSDT operators — all three must agree on every seed
+// (Theorem 1 end to end, including operator composition effects like
+// ⊥-propagation across stacked operators).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 
 #include "api/session.h"
 #include "rel/eval.h"
@@ -15,7 +18,6 @@
 #include "core/engine/plan_driver.h"
 #include "core/engine/uniform_backend.h"
 #include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/uniform.h"
 #include "core/urel.h"
@@ -124,7 +126,7 @@ TEST_P(RandomPlanProperty, AllThreePathsAgree) {
     auto expected = EvaluatePerWorld(*worlds, plan, "OUT");
     ASSERT_TRUE(expected.ok()) << plan.ToString();
 
-    // Path (b): WSD operators.
+    // Path (b): WsdEvaluate, converting at the boundary.
     Wsd wsd_copy = wsd;
     Status st = WsdEvaluate(wsd_copy, plan, "OUT");
     ASSERT_TRUE(st.ok()) << plan.ToString() << ": " << st;
@@ -185,36 +187,42 @@ TEST_P(CrossBackendProperty, UnifiedDriverAgreesOnAllBackends) {
         SCOPED_TRACE(::testing::Message()
                      << "backend " << api::BackendKindName(kind)
                      << (optimized ? " (optimized)" : " (plain)"));
-        // Per-kind store + backend; only the pair for `kind` is used.
-        Wsd wsd_store;
+        // Per-kind store + backend; only the pair for `kind` is used. The
+        // WSD route is a kWsd session: Session::Open(Wsd) converts at the
+        // boundary and drives the WSDT engine.
+        std::optional<api::Session> wsd_session;
         Wsdt wsdt_store;
         rel::Database udb_store;
         Urel urel_store;
-        std::unique_ptr<engine::WorldSetOps> backend;
+        std::unique_ptr<engine::WorldSetOps> owned_backend;
+        engine::WorldSetOps* backend = nullptr;
         switch (kind) {
           case api::BackendKind::kWsd:
-            wsd_store = wsd;
-            backend = std::make_unique<engine::WsdBackend>(wsd_store);
+            wsd_session.emplace(api::Session::Open(Wsd(wsd)).value());
+            backend = &wsd_session->ops();
             break;
           case api::BackendKind::kWsdt: {
             auto wsdt_or = Wsdt::FromWsd(wsd);
             ASSERT_TRUE(wsdt_or.ok());
             wsdt_store = std::move(wsdt_or).value();
-            backend = std::make_unique<engine::WsdtBackend>(wsdt_store);
+            owned_backend = std::make_unique<engine::WsdtBackend>(wsdt_store);
+            backend = owned_backend.get();
             break;
           }
           case api::BackendKind::kUniform: {
             auto udb_or = ExportUniform(Wsdt::FromWsd(wsd).value());
             ASSERT_TRUE(udb_or.ok());
             udb_store = std::move(udb_or).value();
-            backend = std::make_unique<engine::UniformBackend>(udb_store);
+            owned_backend = std::make_unique<engine::UniformBackend>(udb_store);
+            backend = owned_backend.get();
             break;
           }
           case api::BackendKind::kUrel: {
             auto urel_or = ExportUrel(Wsdt::FromWsd(wsd).value());
             ASSERT_TRUE(urel_or.ok());
             urel_store = std::move(urel_or).value();
-            backend = std::make_unique<engine::UrelBackend>(urel_store);
+            owned_backend = std::make_unique<engine::UrelBackend>(urel_store);
+            backend = owned_backend.get();
             break;
           }
         }
@@ -230,10 +238,12 @@ TEST_P(CrossBackendProperty, UnifiedDriverAgreesOnAllBackends) {
         Result<std::vector<PossibleWorld>> out =
             Status::Internal("unset");
         switch (kind) {
-          case api::BackendKind::kWsd:
-            valid = wsd_store.Validate();
-            out = wsd_store.EnumerateWorlds(4000000, {"OUT"});
+          case api::BackendKind::kWsd: {
+            const Wsdt& held = *std::as_const(*wsd_session).wsdt();
+            valid = held.Validate();
+            out = held.ToWsd().value().EnumerateWorlds(4000000, {"OUT"});
             break;
+          }
           case api::BackendKind::kWsdt:
             valid = wsdt_store.Validate();
             out = wsdt_store.ToWsd().value().EnumerateWorlds(4000000,

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/interner.h"
 #include "core/uniform.h"
+#include "core/wsd_algebra.h"
 #include "core/wsdt.h"
 #include "rel/eval.h"
 #include "tests/test_util.h"
@@ -43,15 +47,18 @@ TEST(SessionTest, KindAndRepresentationAccess) {
   for (const Session& s : sessions) {
     EXPECT_EQ(s.BackendName(), BackendKindName(s.kind()));
   }
-  EXPECT_NE(sessions[0].wsd(), nullptr);
-  EXPECT_EQ(sessions[0].wsdt(), nullptr);
+  // A kWsd session holds its world set as a WSDT and runs on the WSDT
+  // engine; only kind() and BackendName() still say "wsd".
+  EXPECT_NE(sessions[0].wsdt(), nullptr);
   EXPECT_EQ(sessions[0].uniform(), nullptr);
   EXPECT_EQ(sessions[0].urel(), nullptr);
+  EXPECT_EQ(sessions[0].BackendName(), "wsd");
+  EXPECT_EQ(sessions[0].ops().BackendName(), "wsdt");
   EXPECT_NE(sessions[1].wsdt(), nullptr);
   EXPECT_NE(sessions[2].uniform(), nullptr);
-  EXPECT_EQ(sessions[2].wsd(), nullptr);
+  EXPECT_EQ(sessions[2].wsdt(), nullptr);
   EXPECT_NE(sessions[3].urel(), nullptr);
-  EXPECT_EQ(sessions[3].wsd(), nullptr);
+  EXPECT_EQ(sessions[3].wsdt(), nullptr);
 }
 
 TEST(SessionTest, ParseBackendKindRoundTripsAndRejects) {
@@ -75,7 +82,9 @@ TEST(SessionTest, OpenByKindStartsEmpty) {
 TEST(SessionTest, OpenAdoptsExistingRepresentations) {
   // The adopt-existing overloads must open the matching backend kind
   // (the old Over* factory shims promised this; Open(repr) carries it).
-  EXPECT_EQ(Session::Open(Wsd()).kind(), BackendKind::kWsd);
+  Result<Session> from_wsd = Session::Open(Wsd());
+  ASSERT_TRUE(from_wsd.ok()) << from_wsd.status();
+  EXPECT_EQ(from_wsd->kind(), BackendKind::kWsd);
   EXPECT_EQ(Session::Open(Wsdt()).kind(), BackendKind::kWsdt);
   EXPECT_EQ(Session::Open(rel::Database()).kind(), BackendKind::kUniform);
   EXPECT_EQ(Session::Open(core::Urel()).kind(), BackendKind::kUrel);
@@ -84,6 +93,103 @@ TEST(SessionTest, OpenAdoptsExistingRepresentations) {
     ASSERT_TRUE(converted.ok()) << BackendKindName(kind);
     EXPECT_EQ(converted->kind(), kind);
   }
+}
+
+// Session::Open(Wsd) is the boundary of the WSD route: it converts once
+// (Wsdt::FromWsd) and the session then holds a WSDT. Whatever the WSD
+// carries — presence fields from the exists-column projection, tuple
+// slots invalid in every world, worlds of different sizes — the session
+// must hold exactly the worlds core::Wsd::EnumerateWorlds lists.
+TEST(SessionTest, OpenWsdKeepsExactlyTheWorldsOfTheWsd) {
+  bool saw_presence = false;
+  bool saw_invalid_slot = false;
+  bool saw_sizes_differ = false;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    testutil::SeededRng rng(seed * 6151 + 7);
+    MAYWSD_SEED_TRACE(rng);
+    Wsd wsd = testutil::RandomWsd(rng, {{"R", {"A", "B"}, 3, 3}}, 3);
+    // S: R's rows with A = 1 (⊥ where A ≠ 1, so worlds differ in size);
+    // P: π_B(S) through the exists column (presence fields); E: rows
+    // with A < 0, none in any world (every slot invalid everywhere).
+    ASSERT_TRUE(WsdSelectConst(wsd, "R", "S", "A", CmpOp::kEq, I(1)).ok());
+    ASSERT_TRUE(WsdProjectExists(wsd, "S", "P", {"B"}).ok());
+    ASSERT_TRUE(WsdSelectConst(wsd, "R", "E", "A", CmpOp::kLt, I(0)).ok());
+    ASSERT_TRUE(wsd.Validate().ok());
+
+    auto expected = wsd.EnumerateWorlds(1000000);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    saw_presence |= wsd.HasPresenceFields();
+    saw_invalid_slot |= wsd.FindRelation("E").value()->max_tuples > 0;
+    auto s_rows = [](const core::PossibleWorld& w) {
+      return w.db.GetRelation("S").value()->NumRows();
+    };
+    for (const core::PossibleWorld& w : *expected) {
+      if (s_rows(w) != s_rows(expected->front())) saw_sizes_differ = true;
+    }
+
+    Result<Session> session = Session::Open(wsd);
+    ASSERT_TRUE(session.ok()) << session.status();
+    EXPECT_EQ(session->kind(), BackendKind::kWsd);
+    const Wsdt* held = std::as_const(*session).wsdt();
+    ASSERT_NE(held, nullptr);
+    EXPECT_TRUE(testutil::ValidateSession(*session).ok());
+    EXPECT_EQ(held->Template("E").value()->NumRows(), 0u);
+    auto actual = testutil::SessionWorlds(*session, 1000000);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    EXPECT_TRUE(core::WorldSetsEquivalent(*expected, *actual));
+
+    // Snapshots and forks of a kWsd session stay kWsd.
+    EXPECT_EQ(session->Snapshot().kind(), BackendKind::kWsd);
+    EXPECT_EQ(session->Fork().kind(), BackendKind::kWsd);
+  }
+  EXPECT_TRUE(saw_presence);
+  EXPECT_TRUE(saw_invalid_slot);
+  EXPECT_TRUE(saw_sizes_differ);
+}
+
+TEST(SessionTest, OpenRejectsAnInvalidWsd) {
+  // A partial tuple slot: R.t0 has A but no B.
+  Wsd partial;
+  rel::Schema ab = rel::Schema::FromNames({"A", "B"});
+  ASSERT_TRUE(partial.AddRelation("R", ab, 1).ok());
+  ASSERT_TRUE(partial.AddCertainField(core::FieldKey("R", 0, "A"), I(1)).ok());
+  Result<Session> from_partial = Session::Open(std::move(partial));
+  ASSERT_FALSE(from_partial.ok());
+  EXPECT_EQ(from_partial.status().code(), StatusCode::kInvalidArgument);
+
+  // Probabilities that do not sum to 1.
+  Wsd unnormalized;
+  rel::Schema a = rel::Schema::FromNames({"A"});
+  ASSERT_TRUE(unnormalized.AddRelation("R", a, 1).ok());
+  core::Component c({core::FieldKey("R", 0, "A")});
+  c.AddWorld({I(1)}, 0.5);
+  c.AddWorld({I(2)}, 0.25);
+  ASSERT_TRUE(unnormalized.AddComponent(std::move(c)).ok());
+  Result<Session> from_unnormalized = Session::Open(std::move(unnormalized));
+  ASSERT_FALSE(from_unnormalized.ok());
+  EXPECT_EQ(from_unnormalized.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SessionTest, ScratchNamesDoNotGrowTheInterner) {
+  // Every scratch relation name is interned for the process lifetime, so
+  // the engine reuses __eng_tmp<k> names across evaluations instead of
+  // minting new ones per run.
+  Session session = Session::Open(BackendKind::kWsdt);
+  rel::Relation base(rel::Schema::FromNames({"A", "B"}), "R");
+  base.AppendRow({I(1), I(2)});
+  base.AppendRow({I(3), I(4)});
+  ASSERT_TRUE(session.Register(base).ok());
+  Plan plan = Plan::Project(
+      {"B"}, Plan::Select(Predicate::Cmp("A", CmpOp::kGe, I(2)),
+                          Plan::Scan("R")));
+  ASSERT_TRUE(session.Run(plan, "OUT").ok());
+  ASSERT_TRUE(session.Drop("OUT").ok());
+  size_t before = StringInterner::Global().size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(session.Run(plan, "OUT").ok()) << i;
+    ASSERT_TRUE(session.Drop("OUT").ok()) << i;
+  }
+  EXPECT_EQ(StringInterner::Global().size(), before);
 }
 
 TEST(SessionTest, SnapshotPinsAViewAcrossApplies) {

@@ -110,7 +110,8 @@ inline std::vector<api::BackendKind> AllBackendKinds() {
           api::BackendKind::kUniform, api::BackendKind::kUrel};
 }
 
-/// Opens a Session of the requested backend kind over (a copy of) `wsd`.
+/// Opens a Session of the requested backend kind over (a copy of) `wsd`;
+/// kWsd goes through Session::Open(core::Wsd), the boundary conversion.
 inline Result<api::Session> OpenSessionOver(api::BackendKind kind,
                                             const core::Wsd& wsd,
                                             api::SessionOptions options = {}) {
@@ -122,13 +123,13 @@ inline Result<api::Session> OpenSessionOver(api::BackendKind kind,
 }
 
 /// Enumerates the session's world set (restricted to `rels` when non-empty)
-/// regardless of the backing representation, for oracle comparisons.
+/// regardless of the backing representation, for oracle comparisons —
+/// always through core::Wsd::EnumerateWorlds, the ground-truth oracle.
 inline Result<std::vector<core::PossibleWorld>> SessionWorlds(
     const api::Session& session, size_t cap,
     const std::vector<std::string>& rels = {}) {
   switch (session.kind()) {
     case api::BackendKind::kWsd:
-      return session.wsd()->EnumerateWorlds(cap, rels);
     case api::BackendKind::kWsdt: {
       MAYWSD_ASSIGN_OR_RETURN(core::Wsd w, session.wsdt()->ToWsd());
       return w.EnumerateWorlds(cap, rels);
@@ -153,7 +154,6 @@ inline Result<std::vector<core::PossibleWorld>> SessionWorlds(
 inline Status ValidateSession(const api::Session& session) {
   switch (session.kind()) {
     case api::BackendKind::kWsd:
-      return session.wsd()->Validate();
     case api::BackendKind::kWsdt:
       return session.wsdt()->Validate();
     case api::BackendKind::kUniform:

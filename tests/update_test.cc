@@ -13,12 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "api/session.h"
 #include "core/component_store.h"
 #include "core/engine/uniform_backend.h"
 #include "core/engine/update_plan.h"
 #include "core/engine/urel_backend.h"
-#include "core/engine/wsd_backend.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/uniform.h"
 #include "core/urel.h"
@@ -142,24 +143,29 @@ TEST(UpdateOpTest, OneWorldReferenceSemantics) {
 
 struct BackendUnderTest {
   std::string name;
-  std::unique_ptr<Wsd> wsd;
+  /// The WSD route: a kWsd session (Session::Open(Wsd) converts at the
+  /// boundary and serves the world set on the WSDT engine).
+  std::unique_ptr<api::Session> wsd_session;
   std::unique_ptr<Wsdt> wsdt;
   std::unique_ptr<rel::Database> udb;
   std::unique_ptr<Urel> urel;
-  std::unique_ptr<engine::WorldSetOps> ops;
+  std::unique_ptr<engine::WorldSetOps> backend;
+  engine::WorldSetOps* ops = nullptr;
+
+  const Wsdt* AsWsdt() const {
+    return wsd_session ? std::as_const(*wsd_session).wsdt() : wsdt.get();
+  }
 
   Status Validate() const {
-    if (wsd) return wsd->Validate();
-    if (wsdt) return wsdt->Validate();
+    if (const Wsdt* t = AsWsdt()) return t->Validate();
     if (udb) return ValidateUniform(*udb);
     return ValidateUrel(*urel);
   }
 
   Result<std::vector<PossibleWorld>> Expand(
       const std::vector<std::string>& relations) const {
-    if (wsd) return wsd->EnumerateWorlds(4000000, relations);
-    if (wsdt) {
-      MAYWSD_ASSIGN_OR_RETURN(Wsd w, wsdt->ToWsd());
+    if (const Wsdt* t = AsWsdt()) {
+      MAYWSD_ASSIGN_OR_RETURN(Wsd w, t->ToWsd());
       return w.EnumerateWorlds(4000000, relations);
     }
     Result<Wsdt> t = udb ? ImportUniform(*udb) : ImportUrel(*urel);
@@ -174,15 +180,17 @@ std::vector<BackendUnderTest> MakeBackends(const Wsd& wsd) {
   {
     BackendUnderTest b;
     b.name = "wsd";
-    b.wsd = std::make_unique<Wsd>(wsd);
-    b.ops = std::make_unique<engine::WsdBackend>(*b.wsd);
+    b.wsd_session =
+        std::make_unique<api::Session>(api::Session::Open(Wsd(wsd)).value());
+    b.ops = &b.wsd_session->ops();
     out.push_back(std::move(b));
   }
   {
     BackendUnderTest b;
     b.name = "wsdt";
     b.wsdt = std::make_unique<Wsdt>(Wsdt::FromWsd(wsd).value());
-    b.ops = std::make_unique<engine::WsdtBackend>(*b.wsdt);
+    b.backend = std::make_unique<engine::WsdtBackend>(*b.wsdt);
+    b.ops = b.backend.get();
     out.push_back(std::move(b));
   }
   {
@@ -190,7 +198,8 @@ std::vector<BackendUnderTest> MakeBackends(const Wsd& wsd) {
     b.name = "uniform";
     b.udb = std::make_unique<rel::Database>(
         ExportUniform(Wsdt::FromWsd(wsd).value()).value());
-    b.ops = std::make_unique<engine::UniformBackend>(*b.udb);
+    b.backend = std::make_unique<engine::UniformBackend>(*b.udb);
+    b.ops = b.backend.get();
     out.push_back(std::move(b));
   }
   {
@@ -198,7 +207,8 @@ std::vector<BackendUnderTest> MakeBackends(const Wsd& wsd) {
     b.name = "urel";
     b.urel = std::make_unique<Urel>(
         ExportUrel(Wsdt::FromWsd(wsd).value()).value());
-    b.ops = std::make_unique<engine::UrelBackend>(*b.urel);
+    b.backend = std::make_unique<engine::UrelBackend>(*b.urel);
+    b.ops = b.backend.get();
     out.push_back(std::move(b));
   }
   return out;

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <unordered_set>
+#include <vector>
 
 namespace maywsd::rel {
 namespace {
@@ -64,6 +65,68 @@ TEST(ValueTest, NumericOrderMixesIntsAndDoubles) {
   EXPECT_LT(Value::Int(1), Value::Double(1.5));
   EXPECT_LT(Value::Double(1.5), Value::Int(2));
   EXPECT_EQ(Value::Int(3).Compare(Value::Double(3.0)), 0);
+}
+
+TEST(ValueTest, IntDoubleEqualityIsExactPastTwoToThe53) {
+  // 2⁵³+1 has no double; rounding it to compare would make it equal to
+  // the double 2⁵³ while their hashes differ.
+  const int64_t p53 = int64_t{1} << 53;
+  const Value big_int = Value::Int(p53 + 1);
+  const Value big_double = Value::Double(0x1p53);
+  EXPECT_NE(big_int, big_double);
+  EXPECT_NE(big_double, big_int);
+  EXPECT_GT(big_int.Compare(big_double), 0);
+  EXPECT_LT(big_double.Compare(big_int), 0);
+
+  // 2⁵³ itself is exact both ways: equal, ordered equal, hashed equal.
+  EXPECT_EQ(Value::Int(p53), big_double);
+  EXPECT_EQ(big_double, Value::Int(p53));
+  EXPECT_EQ(Value::Int(p53).Compare(big_double), 0);
+  EXPECT_EQ(Value::Int(p53).Hash(), big_double.Hash());
+
+  // Transitivity across the pair: Int(2⁵³) = Double(2⁵³), and
+  // Int(2⁵³+1) ≠ Int(2⁵³), so Int(2⁵³+1) ≠ Double(2⁵³) as well.
+  EXPECT_NE(big_int, Value::Int(p53));
+  std::unordered_set<Value> set = {big_int, big_double, Value::Int(p53)};
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(ValueTest, IntDoubleEqualityAtTheInt64Range) {
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  // -2⁶³ is an int64 and a double: equal, with equal hashes.
+  EXPECT_EQ(Value::Int(min), Value::Double(-0x1p63));
+  EXPECT_EQ(Value::Int(min).Compare(Value::Double(-0x1p63)), 0);
+  EXPECT_EQ(Value::Int(min).Hash(), Value::Double(-0x1p63).Hash());
+  // 2⁶³ is past every int64: INT64_MAX (which rounds to 2⁶³ as a double)
+  // is below it, and nothing below -2⁶³ equals INT64_MIN.
+  EXPECT_NE(Value::Int(max), Value::Double(0x1p63));
+  EXPECT_LT(Value::Int(max).Compare(Value::Double(0x1p63)), 0);
+  EXPECT_GT(Value::Double(0x1p63).Compare(Value::Int(max)), 0);
+  EXPECT_NE(Value::Int(min), Value::Double(-0x1p64));
+  EXPECT_GT(Value::Int(min).Compare(Value::Double(-0x1p64)), 0);
+  // Fractions never equal an int and order between their neighbours.
+  EXPECT_NE(Value::Int(-3), Value::Double(-2.5));
+  EXPECT_LT(Value::Int(-3).Compare(Value::Double(-2.5)), 0);
+  EXPECT_GT(Value::Int(-2).Compare(Value::Double(-2.5)), 0);
+  // Compare is 0 exactly when == holds, both directions, on every pair.
+  std::vector<Value> values;
+  for (int64_t i : {min, max, int64_t{0}, int64_t{-2}}) {
+    values.push_back(Value::Int(i));
+  }
+  for (double d : {-0x1p63, 0x1p63, -2.5, 0.0, -0x1p64, -2.0}) {
+    values.push_back(Value::Double(d));
+  }
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      SCOPED_TRACE(a.ToString() + " vs " + b.ToString());
+      EXPECT_EQ(a.Compare(b) == 0, a == b);
+      EXPECT_EQ(a.Compare(b), -b.Compare(a));
+      if (a == b) {
+        EXPECT_EQ(a.Hash(), b.Hash());
+      }
+    }
+  }
 }
 
 TEST(ValueTest, StringOrderIsLexicographic) {
