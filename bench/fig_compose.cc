@@ -12,6 +12,9 @@
 //   - difference-chain: P −= S_i over uncertain attributes. Each step
 //     records compose nodes and forces only the worlds the ⊥-rewrite
 //     touches; reported so the growth curve is visible in CI artifacts.
+//   - difference-certain: the same chain over certain relations on the
+//     uniform store, which subtracts natively — its round_trips (store
+//     import/export fallbacks) must stay 0, which CI asserts.
 //   - guarded-batch: Session::ApplyAll of N updates sharing one
 //     structurally equal world condition — asserts the batch materializes
 //     the guard once and serves the other N−1 from the cache, and compares
@@ -40,6 +43,7 @@ using rel::UpdateOp;
 
 struct Sample {
   std::string workload;
+  std::string backend = "wsd";
   size_t steps = 0;
   double seconds = 0.0;
   // Store-counter deltas across the workload (process-global counters,
@@ -51,6 +55,7 @@ struct Sample {
   // Guard sharing (guarded-batch only).
   uint64_t guard_materializations = 0;
   uint64_t guard_shares = 0;
+  uint64_t round_trips = 0;  // backend import/export fallbacks
 };
 
 void WriteJson(const char* path, const std::vector<Sample>& samples) {
@@ -66,17 +71,19 @@ void WriteJson(const char* path, const std::vector<Sample>& samples) {
     const Sample& s = samples[i];
     std::fprintf(
         f,
-        "    {\"workload\": \"%s\", \"steps\": %zu, \"seconds\": %.6f, "
-        "\"compose_nodes\": %llu, \"forced_evals\": %llu, \"cells\": %lld, "
-        "\"peak_cells\": %llu, \"guard_materializations\": %llu, "
-        "\"guard_shares\": %llu}%s\n",
-        s.workload.c_str(), s.steps, s.seconds,
+        "    {\"workload\": \"%s\", \"backend\": \"%s\", \"steps\": %zu, "
+        "\"seconds\": %.6f, \"compose_nodes\": %llu, \"forced_evals\": %llu, "
+        "\"cells\": %lld, \"peak_cells\": %llu, "
+        "\"guard_materializations\": %llu, \"guard_shares\": %llu, "
+        "\"round_trips\": %llu}%s\n",
+        s.workload.c_str(), s.backend.c_str(), s.steps, s.seconds,
         static_cast<unsigned long long>(s.compose_nodes),
         static_cast<unsigned long long>(s.forced_evals),
         static_cast<long long>(s.cells),
         static_cast<unsigned long long>(s.peak_cells),
         static_cast<unsigned long long>(s.guard_materializations),
         static_cast<unsigned long long>(s.guard_shares),
+        static_cast<unsigned long long>(s.round_trips),
         i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -118,6 +125,7 @@ struct Delta {
     out.guard_materializations =
         after.guard_materializations - before.guard_materializations;
     out.guard_shares = after.guard_shares - before.guard_shares;
+    out.round_trips = after.round_trips - before.round_trips;
   }
 };
 
@@ -254,6 +262,48 @@ int main(int argc, char** argv) {
     }
     s.seconds = t.Seconds();
     d.Finish(session, s);
+    report(std::move(s));
+  }
+
+  // -- Certain difference chain on the uniform store: no round trip. -------
+  //
+  // P and every S_i are certain, so each − is a row rewriting of the C/F/W
+  // templates; a fallback to the template semantics would import and
+  // re-export the whole store per step.
+  {
+    const size_t kSteps = 6;
+    const int64_t kRows = 2000;
+    api::Session session = api::Session::Open(api::BackendKind::kUniform);
+    rel::Relation p(rel::Schema::FromNames({"A", "B"}), "P");
+    for (int64_t r = 0; r < kRows; ++r) {
+      p.AppendRow({rel::Value::Int(r), rel::Value::Int(r % 7)});
+    }
+    if (!session.Register(p).ok()) return 1;
+    Plan plan = Plan::Scan("P");
+    for (size_t i = 1; i <= kSteps; ++i) {
+      rel::Relation s_i(rel::Schema::FromNames({"A", "B"}),
+                        "S" + std::to_string(i));
+      for (int64_t r = 0; r < kRows; r += static_cast<int64_t>(i) + 1) {
+        s_i.AppendRow({rel::Value::Int(r), rel::Value::Int(r % 7)});
+      }
+      if (!session.Register(s_i).ok()) return 1;
+      plan = Plan::Difference(std::move(plan), Plan::Scan(s_i.name()));
+    }
+    Sample s;
+    s.workload = "difference-certain";
+    s.backend = "uniform";
+    s.steps = kSteps;
+    Delta d;
+    d.Start(session);
+    Timer t;
+    if (!session.Run(plan, "Q").ok()) {
+      std::fprintf(stderr, "certain difference chain failed\n");
+      return 1;
+    }
+    s.seconds = t.Seconds();
+    d.Finish(session, s);
+    std::printf("%-16s round trips: %llu\n", s.workload.c_str(),
+                static_cast<unsigned long long>(s.round_trips));
     report(std::move(s));
   }
 

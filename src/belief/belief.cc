@@ -221,13 +221,19 @@ class KnowledgeState {
       return it->second.name;
     }
     ++knowledge_cache_misses_;
-    if (it != derived_.end() && session_.HasRelation(it->second.name)) {
-      MAYWSD_RETURN_IF_ERROR(session_.Drop(it->second.name));
-    }
     std::string name;
-    do {
-      name = std::string(kDerivedPrefix) + std::to_string(next_id_++);
-    } while (session_.HasRelation(name));
+    if (it != derived_.end()) {
+      // A stale entry is re-materialized under its own name: every fresh
+      // name would stay interned for the process lifetime.
+      name = it->second.name;
+      if (session_.HasRelation(name)) {
+        MAYWSD_RETURN_IF_ERROR(session_.Drop(name));
+      }
+    } else {
+      do {
+        name = std::string(kDerivedPrefix) + std::to_string(next_id_++);
+      } while (session_.HasRelation(name));
+    }
     MAYWSD_RETURN_IF_ERROR(session_.Run(plan, name));
     derived_[key] = DerivedEntry{name, base_version, alive_version};
     return name;

@@ -118,6 +118,10 @@ Status UniformBackend::Rename(
 Status UniformBackend::Difference(const std::string& left,
                                   const std::string& right,
                                   const std::string& out) {
+  Status st = UniformDifference(*db_, left, right, out);
+  if (st.code() != StatusCode::kUnsupported) return st;
+  // A placeholder row may match the other side: subtract per local world
+  // in the template semantics.
   return Fallback(
       [&](Wsdt& wsdt) { return WsdtDifference(wsdt, left, right, out); });
 }

@@ -7,12 +7,14 @@
 // relations C, F and W (see core/uniform.h). The Figure 9 operators that
 // are pure row rewritings — copy, select[Aθc], product, union, rename,
 // projection of ⊥-free columns, drop — run directly against those
-// relations through core/uniform. The operators that need component
-// composition (select[AθB], difference, ⊥-carrying projection) fall back
-// to the template semantics: the store is imported as a WSDT, the
-// operator runs there, and the result is re-exported — exactly the escape
-// hatch the prototype used for the operations outside the purely
-// relational fragment. System relations are hidden from the catalog.
+// relations through core/uniform, and so does difference when no
+// placeholder row can match the other side. The operators that need
+// component composition (⊥-carrying projection, difference with a
+// placeholder row that may match) fall back to the template semantics:
+// the store is imported as a WSDT, the operator runs there, and the
+// result is re-exported — exactly the escape hatch the prototype used for
+// the operations outside the purely relational fragment. System relations
+// are hidden from the catalog.
 
 #ifndef MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_
 #define MAYWSD_CORE_ENGINE_UNIFORM_BACKEND_H_

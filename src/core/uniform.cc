@@ -10,6 +10,7 @@
 #include "rel/eval.h"
 #include "rel/index.h"
 #include "rel/predicate.h"
+#include "rel/row_set.h"
 
 namespace maywsd::core {
 
@@ -763,23 +764,17 @@ Status UniformProduct(rel::Database& db, const std::string& left,
   return db.AddRelation(std::move(out_rel));
 }
 
-Status UniformCopy(rel::Database& db, const std::string& in_rel,
-                   const std::string& out_rel) {
-  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* in, db.GetRelation(in_rel));
-  if (db.Contains(out_rel)) {
-    return Status::AlreadyExists("relation " + out_rel);
-  }
+namespace {
+
+/// Re-registers every F/C entry of `in_rel` under `out_rel` with the same
+/// TIDs, sharing CIDs so the copy stays correlated with its source: one
+/// filtered pass, linear in |F|+|C|.
+Status CopyRelationEntries(rel::Database& db, const std::string& in_rel,
+                           const std::string& out_rel) {
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation* f_rel,
                           db.GetMutableRelation(kUniformF));
   MAYWSD_ASSIGN_OR_RETURN(rel::Relation* c_rel,
                           db.GetMutableRelation(kUniformC));
-  rel::Relation out(in->schema(), out_rel);
-  for (size_t i = 0; i < in->NumRows(); ++i) {
-    out.AppendRow(in->row(i).span());
-  }
-  // TIDs are unchanged, so one filtered pass re-registers every F/C entry
-  // of the source under the copy's name (the driver's materializing Copy
-  // runs once per evaluation — keep it linear in |F|+|C|).
   rel::Value in_sym = rel::Value::String(in_rel);
   rel::Value out_sym = rel::Value::String(out_rel);
   size_t f_rows = f_rel->NumRows();
@@ -794,7 +789,111 @@ Status UniformCopy(rel::Database& db, const std::string& in_rel,
     if (!(row[0] == in_sym)) continue;
     c_rel->AppendRow({out_sym, row[1], row[2], row[3], row[4]});
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status UniformCopy(rel::Database& db, const std::string& in_rel,
+                   const std::string& out_rel) {
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* in, db.GetRelation(in_rel));
+  if (db.Contains(out_rel)) {
+    return Status::AlreadyExists("relation " + out_rel);
+  }
+  rel::Relation out(in->schema(), out_rel);
+  for (size_t i = 0; i < in->NumRows(); ++i) {
+    out.AppendRow(in->row(i).span());
+  }
+  // TIDs are unchanged (the driver's materializing Copy runs once per
+  // evaluation — keep it linear in |F|+|C|).
+  MAYWSD_RETURN_IF_ERROR(CopyRelationEntries(db, in_rel, out_rel));
   return db.AddRelation(std::move(out));
+}
+
+Status UniformDifference(rel::Database& db, const std::string& left,
+                         const std::string& right, const std::string& out) {
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* l, db.GetRelation(left));
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* r, db.GetRelation(right));
+  if (l->schema() != r->schema()) {
+    return Status::InvalidArgument("uniform difference of incompatible "
+                                   "schemas");
+  }
+  if (db.Contains(out)) {
+    return Status::AlreadyExists("relation " + out);
+  }
+  auto tid_idx = l->schema().IndexOf(kTidColumn);
+  if (!tid_idx || *tid_idx != 0) {
+    return Status::InvalidArgument("template " + left +
+                                   " lacks a leading TID column");
+  }
+  rel::Schema logical(std::vector<rel::Attribute>(
+      l->schema().attrs().begin() + 1, l->schema().attrs().end()));
+  const size_t arity = logical.arity();
+  auto cells = [arity](const rel::Relation& tmpl, size_t i) {
+    return rel::TupleRef(tmpl.row(i).data() + 1, arity);
+  };
+  auto certain = [](rel::TupleRef row) {
+    for (size_t a = 0; a < row.arity(); ++a) {
+      if (row[a].is_question()) return false;
+    }
+    return true;
+  };
+  // Two rows may be one tuple in some world unless a certain cell differs.
+  auto may_match = [](rel::TupleRef a, rel::TupleRef b) {
+    for (size_t k = 0; k < a.arity(); ++k) {
+      if (!a[k].is_question() && !b[k].is_question() && !(a[k] == b[k])) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  rel::Relation r_rows(logical);
+  rel::RowSet r_certain(r_rows);
+  std::vector<size_t> r_uncertain;
+  for (size_t j = 0; j < r->NumRows(); ++j) {
+    if (certain(cells(*r, j))) {
+      r_certain.Insert(cells(*r, j).span());
+    } else {
+      r_uncertain.push_back(j);
+    }
+  }
+  // The certain fragment only: a placeholder row that may equal a row of
+  // the other side is subtracted per local world, which composes
+  // components.
+  auto unsupported = [&] {
+    return Status::Unsupported("uniform difference: a placeholder row of " +
+                               left + " or " + right +
+                               " may match the other side; needs the "
+                               "template semantics");
+  };
+  std::vector<size_t> l_certain;
+  for (size_t i = 0; i < l->NumRows(); ++i) {
+    if (certain(cells(*l, i))) {
+      l_certain.push_back(i);
+      continue;
+    }
+    for (size_t j = 0; j < r->NumRows(); ++j) {
+      if (may_match(cells(*l, i), cells(*r, j))) return unsupported();
+    }
+  }
+  for (size_t j : r_uncertain) {
+    for (size_t i : l_certain) {
+      if (may_match(cells(*l, i), cells(*r, j))) return unsupported();
+    }
+  }
+
+  // Certain rows with a certain match are gone in every world; every
+  // other row is kept under its TID, so the F/C entries of L carry over.
+  rel::Relation out_rel(l->schema(), out);
+  out_rel.Reserve(l->NumRows());
+  for (size_t i = 0; i < l->NumRows(); ++i) {
+    rel::TupleRef lr = cells(*l, i);
+    if (certain(lr) && r_certain.Contains(lr.span())) continue;
+    out_rel.AppendRow(l->row(i).span());
+  }
+  MAYWSD_RETURN_IF_ERROR(CopyRelationEntries(db, left, out));
+  return db.AddRelation(std::move(out_rel));
 }
 
 Status UniformProject(rel::Database& db, const std::string& in_rel,

@@ -96,6 +96,15 @@ Status UniformProduct(rel::Database& db, const std::string& left,
 Status UniformCopy(rel::Database& db, const std::string& in_rel,
                    const std::string& out_rel);
 
+/// P := R − S on the uniform relations, for the certain fragment: when no
+/// row with a placeholder on either side can equal a row of the other side
+/// (a certain cell differs), every certain row of R with a certain match
+/// in S is dropped and every other row is copied as UniformCopy does.
+/// Returns Unsupported otherwise: subtracting per local world composes
+/// components, and callers fall back to the template semantics.
+Status UniformDifference(rel::Database& db, const std::string& left,
+                         const std::string& right, const std::string& out);
+
 /// P := π_attrs(R) on the uniform relations: the template's columns are
 /// projected (TID kept) and only the kept attributes' F/C entries are
 /// copied — exact marginalization of the dropped component columns.

@@ -6,6 +6,7 @@
 #include "core/engine/plan_driver.h"
 #include "core/engine/wsdt_backend.h"
 #include "core/wsdt.h"
+#include "core/wsdt_algebra.h"
 
 namespace maywsd::core {
 
@@ -395,146 +396,9 @@ Status WsdRename(Wsd& wsd, const std::string& src, const std::string& out,
 
 Status WsdDifference(Wsd& wsd, const std::string& left,
                      const std::string& right, const std::string& out) {
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* l, wsd.FindRelation(left));
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* r, wsd.FindRelation(right));
-  if (l->schema != r->schema) {
-    return Status::InvalidArgument("difference of incompatible schemas: " +
-                                   l->schema.ToString() + " vs " +
-                                   r->schema.ToString());
-  }
-  MAYWSD_RETURN_IF_ERROR(WsdCopy(wsd, left, out));
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* p, wsd.FindRelation(out));
-  MAYWSD_ASSIGN_OR_RETURN(const WsdRelation* s, wsd.FindRelation(right));
-  rel::Schema schema = p->schema;
-  Symbol p_sym = p->name_sym;
-  Symbol s_sym = s->name_sym;
-  TupleId pmax = p->max_tuples;
-  TupleId smax = s->max_tuples;
-
-  for (TupleId i = 0; i < pmax; ++i) {
-    FieldKey probe(p_sym, i, schema.attr(0).name);
-    if (!wsd.HasField(probe)) continue;
-    for (TupleId j = 0; j < smax; ++j) {
-      FieldKey sprobe(s_sym, j, schema.attr(0).name);
-      if (!wsd.HasField(sprobe)) continue;
-      // Certain fast path: when every column the subtraction reads is
-      // constant (P.tᵢ and S.tⱼ attributes plus S.tⱼ's presence fields),
-      // the decision is made once with no compose — a ⊥ in any single
-      // field deletes P.tᵢ (EnumerateWorlds), so a positive decision marks
-      // one column of P.tᵢ across its own component's local worlds.
-      {
-        bool all_const = true;
-        bool equal = true;
-        bool s_present = true;
-        FieldLoc lp0{};
-        for (size_t a = 0; a < schema.arity(); ++a) {
-          MAYWSD_ASSIGN_OR_RETURN(
-              FieldLoc lp,
-              wsd.Locate(FieldKey(p_sym, i, schema.attr(a).name)));
-          MAYWSD_ASSIGN_OR_RETURN(
-              FieldLoc ls,
-              wsd.Locate(FieldKey(s_sym, j, schema.attr(a).name)));
-          if (a == 0) lp0 = lp;
-          const rel::Value* pv = wsd.component(lp.comp).ColumnConstantValue(
-              static_cast<size_t>(lp.col));
-          const rel::Value* sv = wsd.component(ls.comp).ColumnConstantValue(
-              static_cast<size_t>(ls.col));
-          if (pv == nullptr || sv == nullptr) {
-            all_const = false;
-            break;
-          }
-          if (sv->is_bottom()) s_present = false;
-          if (!(*pv == *sv)) equal = false;
-        }
-        if (all_const) {
-          for (const FieldKey& pf : wsd.PresenceFieldsOfTuple(*s, j)) {
-            MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-            const rel::Value* v = wsd.component(loc.comp).ColumnConstantValue(
-                static_cast<size_t>(loc.col));
-            if (v == nullptr) {
-              all_const = false;
-              break;
-            }
-            if (v->is_bottom()) s_present = false;
-          }
-        }
-        if (all_const) {
-          if (equal && s_present) {
-            Component& comp = wsd.mutable_component(lp0.comp);
-            size_t col = static_cast<size_t>(lp0.col);
-            for (size_t w = 0; w < comp.NumWorlds(); ++w) {
-              comp.at(w, col) = rel::Value::Bottom();
-            }
-            comp.PropagateBottom();
-          }
-          continue;
-        }
-      }
-      // Compose every component holding a field of P.tᵢ or S.tⱼ (including
-      // their presence fields, which decide existence).
-      std::set<int32_t> comps;
-      for (size_t a = 0; a < schema.arity(); ++a) {
-        MAYWSD_ASSIGN_OR_RETURN(
-            FieldLoc lp, wsd.Locate(FieldKey(p_sym, i, schema.attr(a).name)));
-        MAYWSD_ASSIGN_OR_RETURN(
-            FieldLoc ls, wsd.Locate(FieldKey(s_sym, j, schema.attr(a).name)));
-        comps.insert(lp.comp);
-        comps.insert(ls.comp);
-      }
-      std::vector<FieldKey> s_presence = wsd.PresenceFieldsOfTuple(*s, j);
-      for (const FieldKey& pf : wsd.PresenceFieldsOfTuple(*p, i)) {
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-        comps.insert(loc.comp);
-      }
-      for (const FieldKey& pf : s_presence) {
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-        comps.insert(loc.comp);
-      }
-      auto it = comps.begin();
-      size_t target = static_cast<size_t>(*it);
-      for (++it; it != comps.end(); ++it) {
-        MAYWSD_RETURN_IF_ERROR(
-            wsd.ComposeInPlace(target, static_cast<size_t>(*it)));
-      }
-      // Mark P.tᵢ as deleted in local worlds where it equals S.tⱼ.
-      std::vector<size_t> p_cols, s_cols;
-      for (size_t a = 0; a < schema.arity(); ++a) {
-        MAYWSD_ASSIGN_OR_RETURN(
-            FieldLoc lp, wsd.Locate(FieldKey(p_sym, i, schema.attr(a).name)));
-        MAYWSD_ASSIGN_OR_RETURN(
-            FieldLoc ls, wsd.Locate(FieldKey(s_sym, j, schema.attr(a).name)));
-        p_cols.push_back(static_cast<size_t>(lp.col));
-        s_cols.push_back(static_cast<size_t>(ls.col));
-        target = static_cast<size_t>(lp.comp);
-      }
-      std::vector<size_t> s_presence_cols;
-      for (const FieldKey& pf : s_presence) {
-        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsd.Locate(pf));
-        s_presence_cols.push_back(static_cast<size_t>(loc.col));
-      }
-      Component& comp = wsd.mutable_component(target);
-      for (size_t w = 0; w < comp.NumWorlds(); ++w) {
-        bool equal = true;
-        bool s_present = true;
-        for (size_t c : s_presence_cols) {
-          if (comp.at(w, c).is_bottom()) s_present = false;
-        }
-        for (size_t a = 0; a < schema.arity(); ++a) {
-          if (comp.at(w, s_cols[a]).is_bottom()) s_present = false;
-          if (!(comp.at(w, p_cols[a]) == comp.at(w, s_cols[a]))) {
-            equal = false;
-            break;
-          }
-        }
-        if (equal && s_present) {
-          for (size_t a = 0; a < schema.arity(); ++a) {
-            comp.at(w, p_cols[a]) = rel::Value::Bottom();
-          }
-        }
-      }
-      comp.PropagateBottom();
-    }
-  }
+  MAYWSD_ASSIGN_OR_RETURN(Wsdt wsdt, Wsdt::FromWsd(wsd));
+  MAYWSD_RETURN_IF_ERROR(WsdtDifference(wsdt, left, right, out));
+  MAYWSD_ASSIGN_OR_RETURN(wsd, wsdt.ToWsd());
   return Status::Ok();
 }
 

@@ -65,7 +65,9 @@ Status WsdRename(Wsd& wsd, const std::string& src, const std::string& out,
                      renames);
 
 /// P := R − S — difference of Figure 9 (composes components per tuple
-/// pair; exponential in the worst case, as the paper notes).
+/// pair; exponential in the worst case, as the paper notes). Runs on the
+/// WSDT engine like WsdEvaluate: `wsd` is converted with Wsdt::FromWsd,
+/// WsdtDifference runs, and `wsd` is replaced by the ToWsd of the result.
 Status WsdDifference(Wsd& wsd, const std::string& left,
                      const std::string& right, const std::string& out);
 

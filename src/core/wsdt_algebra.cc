@@ -1,14 +1,14 @@
 #include "core/wsdt_algebra.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/engine/plan_driver.h"
 #include "core/engine/wsdt_backend.h"
-#include "core/wsd.h"
-#include "core/wsd_algebra.h"
 #include "rel/row_set.h"
 
 namespace maywsd::core {
@@ -57,6 +57,24 @@ bool RowFullyCertain(rel::TupleRef row) {
   return true;
 }
 
+/// True when row `r` of `tmpl` exists in no world: one of its placeholder
+/// columns is ⊥ in every local world.
+Result<bool> RowDeadEverywhere(const Wsdt& wsdt, const rel::Relation& tmpl,
+                               Symbol sym, size_t r) {
+  rel::TupleRef row = tmpl.row(r);
+  for (size_t a = 0; a < tmpl.arity(); ++a) {
+    if (!row[a].is_question()) continue;
+    MAYWSD_ASSIGN_OR_RETURN(
+        FieldLoc loc, wsdt.Locate(FieldKey(sym, static_cast<TupleId>(r),
+                                           tmpl.schema().attr(a).name)));
+    if (wsdt.component(loc.comp).ColumnAllBottom(
+            static_cast<size_t>(loc.col))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Status WsdtCopy(Wsdt& wsdt, const std::string& src, const std::string& out) {
@@ -70,21 +88,10 @@ Status WsdtCopy(Wsdt& wsdt, const std::string& src, const std::string& out) {
   out_tmpl.Reserve(src_tmpl->NumRows());
   for (size_t r = 0; r < src_tmpl->NumRows(); ++r) {
     // Normalization on the way out (Figure 20's remove-invalid-tuples):
-    // a row whose placeholder column is ⊥ in every local world exists in
-    // no world and is not copied.
-    rel::TupleRef row = src_tmpl->row(r);
-    bool invalid = false;
-    for (size_t a = 0; a < src_tmpl->arity() && !invalid; ++a) {
-      if (!row[a].is_question()) continue;
-      FieldKey f(src_sym, static_cast<TupleId>(r),
-                 src_tmpl->schema().attr(a).name);
-      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(f));
-      if (wsdt.component(loc.comp).ColumnAllBottom(
-              static_cast<size_t>(loc.col))) {
-        invalid = true;
-      }
-    }
-    if (invalid) continue;
+    // a row that exists in no world is not copied.
+    MAYWSD_ASSIGN_OR_RETURN(bool dead,
+                            RowDeadEverywhere(wsdt, *src_tmpl, src_sym, r));
+    if (dead) continue;
     MAYWSD_RETURN_IF_ERROR(
         CopyRowInto(wsdt, *src_tmpl, src_sym, r, &out_tmpl, out_sym)
             .status());
@@ -566,16 +573,271 @@ Status WsdtRename(Wsdt& wsdt, const std::string& src, const std::string& out,
   return wsdt.AddTemplateRelation(std::move(out_tmpl));
 }
 
+namespace {
+
+/// True when placeholder `field` takes the value `v` in some local world.
+Result<bool> ColumnMayHold(const Wsdt& wsdt, const FieldKey& field,
+                           const rel::Value& v) {
+  MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(field));
+  const Component& comp = wsdt.component(loc.comp);
+  size_t col = static_cast<size_t>(loc.col);
+  if (const rel::Value* cv = comp.ColumnConstantValue(col)) return *cv == v;
+  for (size_t w = 0; w < comp.NumWorlds(); ++w) {
+    if (comp.at(w, col) == v) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Status WsdtDifference(Wsdt& wsdt, const std::string& left,
                       const std::string& right, const std::string& out) {
-  // Difference is "by far the least efficient operation" (Section 4) and is
-  // never evaluated at scale in the paper; we reuse the faithful WSD
-  // algorithm through a conversion round-trip.
-  MAYWSD_ASSIGN_OR_RETURN(Wsd wsd, wsdt.ToWsd());
-  MAYWSD_RETURN_IF_ERROR(WsdDifference(wsd, left, right, out));
-  MAYWSD_ASSIGN_OR_RETURN(Wsdt next, Wsdt::FromWsd(wsd));
-  wsdt = std::move(next);
-  return Status::Ok();
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* l_ptr, wsdt.Template(left));
+  MAYWSD_ASSIGN_OR_RETURN(const rel::Relation* r_ptr, wsdt.Template(right));
+  if (l_ptr->schema() != r_ptr->schema()) {
+    return Status::InvalidArgument("difference of incompatible schemas: " +
+                                   l_ptr->schema().ToString() + " vs " +
+                                   r_ptr->schema().ToString());
+  }
+  if (wsdt.HasRelation(out)) {
+    return Status::AlreadyExists("relation " + out);
+  }
+  const rel::Relation& l_tmpl = *l_ptr;
+  const rel::Relation& r_tmpl = *r_ptr;
+  const rel::Schema& schema = l_tmpl.schema();
+  const size_t arity = schema.arity();
+  Symbol l_sym = InternString(left);
+  Symbol r_sym = InternString(right);
+  Symbol out_sym = InternString(out);
+  auto l_field = [&](size_t i, size_t a) {
+    return FieldKey(l_sym, static_cast<TupleId>(i), schema.attr(a).name);
+  };
+  auto r_field = [&](size_t j, size_t a) {
+    return FieldKey(r_sym, static_cast<TupleId>(j), schema.attr(a).name);
+  };
+
+  // The right side: certain rows by value (present in every world — ⊥
+  // lives only in components), and every live row by the possible values
+  // of one column, indexed per column on first use. by_col[c][0] holds
+  // certain rows, by_col[c][1] rows with a placeholder anywhere.
+  rel::Relation r_certain_rows(schema);
+  rel::RowSet r_certain(r_certain_rows);
+  std::vector<size_t> r_live;
+  for (size_t j = 0; j < r_tmpl.NumRows(); ++j) {
+    MAYWSD_ASSIGN_OR_RETURN(bool dead,
+                            RowDeadEverywhere(wsdt, r_tmpl, r_sym, j));
+    if (dead) continue;
+    r_live.push_back(j);
+    if (RowFullyCertain(r_tmpl.row(j))) r_certain.Insert(r_tmpl.row(j).span());
+  }
+  const bool r_all_certain = r_certain.size() == r_live.size();
+  using ColumnIndex =
+      std::array<std::unordered_map<rel::Value, std::vector<size_t>>, 2>;
+  std::vector<std::optional<ColumnIndex>> by_col(arity);
+  auto index_column = [&](size_t c) -> const ColumnIndex& {
+    if (by_col[c]) return *by_col[c];
+    ColumnIndex& idx = by_col[c].emplace();
+    for (size_t j : r_live) {
+      rel::TupleRef row = r_tmpl.row(j);
+      bool certain = RowFullyCertain(row);
+      if (!row[c].is_question()) {
+        idx[certain ? 0 : 1][row[c]].push_back(j);
+        continue;
+      }
+      for (const rel::Value& v : PossibleColumnValues(wsdt, r_field(j, c))) {
+        idx[1][v].push_back(j);
+      }
+    }
+    return idx;
+  };
+
+  // Could L.i and S.j be the same tuple in some world? Certain cells must
+  // be equal, and a placeholder facing a certain cell must hold its value
+  // somewhere; two placeholders are left to the per-world check.
+  auto may_match = [&](size_t i, size_t j) -> Result<bool> {
+    rel::TupleRef lr = l_tmpl.row(i);
+    rel::TupleRef rr = r_tmpl.row(j);
+    for (size_t a = 0; a < arity; ++a) {
+      bool lq = lr[a].is_question();
+      bool rq = rr[a].is_question();
+      if (!lq && !rq) {
+        if (!(lr[a] == rr[a])) return false;
+      } else if (lq != rq) {
+        MAYWSD_ASSIGN_OR_RETURN(
+            bool hold, lq ? ColumnMayHold(wsdt, l_field(i, a), rr[a])
+                          : ColumnMayHold(wsdt, r_field(j, a), lr[a]));
+        if (!hold) return false;
+      }
+    }
+    return true;
+  };
+
+  rel::Relation out_tmpl(schema, out);
+  out_tmpl.Reserve(l_tmpl.NumRows());
+  std::vector<size_t> candidates;
+  std::vector<size_t> matches;
+  std::vector<int32_t> comps;
+  std::vector<std::pair<size_t, size_t>> l_cols;  // (attr, comp column)
+  std::vector<size_t> r_cols;  // per match, one comp column per attribute
+  std::vector<rel::Value> buf(arity);
+  std::vector<uint8_t> killed;
+  for (size_t i = 0; i < l_tmpl.NumRows(); ++i) {
+    rel::TupleRef lr = l_tmpl.row(i);
+    const bool l_certain = RowFullyCertain(lr);
+    if (l_certain && r_certain.Contains(lr.span())) continue;  // everywhere
+    if (l_certain && r_all_certain) {  // the certain fragment: kept as is
+      out_tmpl.AppendRow(lr.span());
+      continue;
+    }
+    MAYWSD_ASSIGN_OR_RETURN(bool dead,
+                            RowDeadEverywhere(wsdt, l_tmpl, l_sym, i));
+    if (dead) continue;
+
+    // Candidates by the first certain column of L.i (or the possible
+    // values of its first column when it has none), then filtered.
+    size_t key = 0;
+    while (key < arity && lr[key].is_question()) ++key;
+    std::vector<rel::Value> key_values;
+    if (key < arity) {
+      key_values.push_back(lr[key]);
+    } else {
+      key = 0;
+      key_values = PossibleColumnValues(wsdt, l_field(i, 0));
+    }
+    const ColumnIndex& idx = index_column(key);
+    candidates.clear();
+    for (const rel::Value& v : key_values) {
+      for (size_t side = l_certain ? 1 : 0; side < 2; ++side) {
+        auto it = idx[side].find(v);
+        if (it == idx[side].end()) continue;
+        candidates.insert(candidates.end(), it->second.begin(),
+                          it->second.end());
+      }
+    }
+    if (key_values.size() > 1) {
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+    }
+    matches.clear();
+    for (size_t j : candidates) {
+      MAYWSD_ASSIGN_OR_RETURN(bool may, may_match(i, j));
+      if (may) matches.push_back(j);
+    }
+    if (matches.empty()) {
+      // No right row can equal L.i: it is kept exactly as it is.
+      MAYWSD_RETURN_IF_ERROR(
+          CopyRowInto(wsdt, l_tmpl, l_sym, i, &out_tmpl, out_sym).status());
+      continue;
+    }
+
+    // The uncertain residual: compose the components of L.i's copy and of
+    // its matches only, then ⊥-mark the copy in the local worlds where
+    // some match is present and equal to it. The copy's fields are added
+    // before composing, so the composed payload is materialized once.
+    const TupleId n = static_cast<TupleId>(out_tmpl.NumRows());
+    auto out_field = [&](size_t a) {
+      return FieldKey(out_sym, n, schema.attr(a).name);
+    };
+    comps.clear();
+    for (size_t a = 0; a < arity; ++a) {
+      if (!lr[a].is_question()) continue;
+      MAYWSD_RETURN_IF_ERROR(wsdt.CopyFieldInto(l_field(i, a), out_field(a)));
+      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(out_field(a)));
+      comps.push_back(loc.comp);
+    }
+    for (size_t j : matches) {
+      rel::TupleRef rr = r_tmpl.row(j);
+      for (size_t a = 0; a < arity; ++a) {
+        if (!rr[a].is_question()) continue;
+        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(r_field(j, a)));
+        comps.push_back(loc.comp);
+      }
+    }
+    std::sort(comps.begin(), comps.end());
+    comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
+    const size_t target = static_cast<size_t>(comps.front());
+    for (size_t k = 1; k < comps.size(); ++k) {
+      MAYWSD_RETURN_IF_ERROR(
+          wsdt.ComposeInPlace(target, static_cast<size_t>(comps[k])));
+    }
+    l_cols.clear();
+    for (size_t a = 0; a < arity; ++a) {
+      if (!lr[a].is_question()) continue;
+      MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc, wsdt.Locate(out_field(a)));
+      l_cols.emplace_back(a, static_cast<size_t>(loc.col));
+    }
+    r_cols.assign(matches.size() * arity, 0);
+    for (size_t m = 0; m < matches.size(); ++m) {
+      rel::TupleRef rr = r_tmpl.row(matches[m]);
+      for (size_t a = 0; a < arity; ++a) {
+        if (!rr[a].is_question()) continue;
+        MAYWSD_ASSIGN_OR_RETURN(FieldLoc loc,
+                                wsdt.Locate(r_field(matches[m], a)));
+        r_cols[m * arity + a] = static_cast<size_t>(loc.col);
+      }
+    }
+    // A certain L.i is only read here; an uncertain copy is marked in place.
+    Component& comp = wsdt.mutable_component(target);
+    const Component& view = comp;
+    std::copy(lr.data(), lr.data() + arity, buf.begin());
+    killed.assign(view.NumWorlds(), 0);
+    size_t alive = 0;
+    size_t num_killed = 0;
+    for (size_t w = 0; w < killed.size(); ++w) {
+      bool present = true;
+      for (const auto& [a, col] : l_cols) {
+        buf[a] = view.at(w, col);
+        if (buf[a].is_bottom()) present = false;
+      }
+      if (!present) continue;
+      ++alive;
+      for (size_t m = 0; m < matches.size() && !killed[w]; ++m) {
+        // Equal to a non-⊥ L.i on every attribute also means S.j is
+        // present in this local world.
+        rel::TupleRef rr = r_tmpl.row(matches[m]);
+        bool equal = true;
+        for (size_t a = 0; a < arity && equal; ++a) {
+          const rel::Value& rv = rr[a].is_question()
+                                     ? view.at(w, r_cols[m * arity + a])
+                                     : rr[a];
+          equal = rv == buf[a];
+        }
+        if (equal) {
+          killed[w] = 1;
+          ++num_killed;
+        }
+      }
+    }
+    if (num_killed == alive) {
+      // Subtracted wherever L.i exists: the copy goes.
+      for (const auto& [a, col] : l_cols) {
+        MAYWSD_RETURN_IF_ERROR(wsdt.DropField(out_field(a)));
+      }
+      continue;
+    }
+    out_tmpl.AppendRow(lr.span());
+    if (num_killed == 0) continue;
+    if (l_certain) {
+      // A certain row subtracted in some worlds only becomes conditional:
+      // a placeholder on its first attribute, correlated with the matches.
+      std::vector<rel::Value> values(killed.size(), lr[0]);
+      for (size_t w = 0; w < values.size(); ++w) {
+        if (killed[w]) values[w] = rel::Value::Bottom();
+      }
+      out_tmpl.SetCell(static_cast<size_t>(n), 0, rel::Value::Question());
+      MAYWSD_RETURN_IF_ERROR(
+          wsdt.AddColumnToComponent(target, out_field(0), values));
+      continue;
+    }
+    for (size_t w = 0; w < killed.size(); ++w) {
+      if (!killed[w]) continue;
+      for (const auto& [a, col] : l_cols) {
+        comp.at(w, col) = rel::Value::Bottom();
+      }
+    }
+  }
+  return wsdt.AddTemplateRelation(std::move(out_tmpl));
 }
 
 Status WsdtEvaluate(Wsdt& wsdt, const rel::Plan& plan, const std::string& out,

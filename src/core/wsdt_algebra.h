@@ -63,8 +63,19 @@ Status WsdtRename(Wsdt& wsdt, const std::string& src, const std::string& out,
                   const std::vector<std::pair<std::string, std::string>>&
                       renames);
 
-/// P := R − S. Certain-certain deletions drop template rows; uncertain
-/// matches are resolved through component composition.
+/// P := R − S, natively on the templates. A row without '?' cells exists
+/// in every world (⊥ lives only in components), so a certain row of R
+/// with an equal certain row of S is not copied; a row no row of S can
+/// equal (a certain cell differs, or a placeholder facing a certain cell
+/// never holds its value) is copied as is. For the remaining pairs only
+/// the components of R's row and of its possible matches are composed,
+/// and the copy is ⊥-marked in the local worlds where a match is present
+/// and equal to it; a certain row subtracted in some worlds only becomes
+/// a placeholder on its first attribute, added to that component. Rows
+/// subtracted in every world where they exist are dropped. Other
+/// relations keep their templates and world sets; composing is
+/// exponential in the number of matches in the worst case, as the paper
+/// notes (Section 4).
 Status WsdtDifference(Wsdt& wsdt, const std::string& left,
                       const std::string& right, const std::string& out);
 

@@ -50,6 +50,19 @@ class RowSet {
     }
   }
 
+  /// True when a member equals `tuple`.
+  bool Contains(std::span<const Value> tuple) const {
+    TupleRef probe(tuple.data(), tuple.size());
+    size_t h = probe.Hash();
+    for (size_t i = Slot(h);; i = (i + 1) & (slots_.size() - 1)) {
+      uint32_t e = slots_[i];
+      if (e == kEmpty) return false;
+      if (entries_[e].hash == h && rows_.row(entries_[e].row) == probe) {
+        return true;
+      }
+    }
+  }
+
  private:
   static constexpr uint32_t kEmpty = ~uint32_t{0};
 

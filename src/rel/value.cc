@@ -47,7 +47,9 @@ bool Value::operator==(const Value& other) const {
     if (is_int() && other.is_int()) return int_ == other.int_;
     if (is_int()) return CompareIntDouble(int_, other.double_) == 0;
     if (other.is_int()) return CompareIntDouble(other.int_, double_) == 0;
-    return double_ == other.double_;
+    // NaN equals itself, as in Compare, so a NaN cell deduplicates.
+    return double_ == other.double_ ||
+           (std::isnan(double_) && std::isnan(other.double_));
   }
   if (kind_ != other.kind_) return false;
   switch (kind_) {
@@ -99,6 +101,11 @@ int Value::Compare(const Value& other) const {
       if (other.is_int()) return -CompareIntDouble(other.int_, double_);
       double a = double_;
       double b = other.double_;
+      // NaN sorts above every number (as against ints) and equals itself,
+      // so the order stays total.
+      bool a_nan = std::isnan(a);
+      bool b_nan = std::isnan(b);
+      if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
       if (a != b) return a < b ? -1 : 1;
       return 0;
     }
@@ -162,8 +169,11 @@ size_t Value::Hash() const {
       // Keep hash consistent with int==double equality: integral doubles
       // hash like the corresponding int. The range test comes first:
       // converting a double outside int64 (or ±inf, NaN) is undefined.
+      // Every NaN is one value, whatever its sign and payload bits.
       double d = double_;
-      if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
+      if (std::isnan(d)) {
+        HashCombine(seed, 0x7ff8000000000000u);
+      } else if (d >= -0x1p63 && d < 0x1p63 && d == std::trunc(d)) {
         HashCombine(seed, std::hash<int64_t>{}(static_cast<int64_t>(d)));
       } else {
         HashCombine(seed, std::hash<double>{}(d));

@@ -30,6 +30,7 @@
 
 #include "api/session.h"
 #include "belief/belief.h"
+#include "common/interner.h"
 #include "core/component_store.h"
 #include "rel/update.h"
 #include "tests/test_util.h"
@@ -474,6 +475,43 @@ TEST(SuccessorCache, StepAndObserveInvalidate) {
     BeliefStats after = game.Stats();
     EXPECT_EQ(after.successor_hits, before.successor_hits + 1);  // a hit
     EXPECT_EQ(after.successor_misses, before.successor_misses + 1);  // b miss
+  }
+}
+
+/// Knows re-materializes a stale witness under the name it already has:
+/// every fresh name would stay in the global interner for the process
+/// lifetime, so a long game must not mint one per version change.
+TEST(BeliefKnowledge, WitnessNamesDoNotGrowTheInterner) {
+  const Value one[] = {I(1)};
+  for (BackendKind kind : testutil::AllBackendKinds()) {
+    SCOPED_TRACE(BackendKindName(kind));
+    Game game;
+    auto session = SmallGameSession(kind);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(game.AddAgent("a", std::move(session).value()).ok());
+    // Alternate a public insert and delete, so every round changes R's
+    // version and makes the cached witness stale.
+    auto round = [&](int i) {
+      std::vector<UpdateOp> step;
+      if (i % 2 == 0) {
+        rel::Relation rows(rel::Schema::FromNames({"A"}), "R");
+        rows.AppendRow({I(5)});
+        step.push_back(UpdateOp::InsertTuples("R", std::move(rows)));
+      } else {
+        step.push_back(
+            UpdateOp::DeleteWhere("R", Predicate::Cmp("A", CmpOp::kEq, I(5))));
+      }
+      ASSERT_TRUE(game.Step(step).ok()) << i;
+      auto knows = game.agent("a")->Knows("R", one);
+      ASSERT_TRUE(knows.ok()) << i;
+      EXPECT_TRUE(*knows) << i;
+    };
+    for (int i = 0; i < 2; ++i) round(i);  // warm-up
+    const size_t before = StringInterner::Global().size();
+    const uint64_t misses = game.Stats().knowledge_cache_misses;
+    for (int i = 0; i < 200; ++i) round(i);
+    EXPECT_GE(game.Stats().knowledge_cache_misses, misses + 200);
+    EXPECT_EQ(StringInterner::Global().size(), before);
   }
 }
 

@@ -33,6 +33,7 @@ using rel::CmpOp;
 using rel::Plan;
 using rel::Predicate;
 using testutil::I;
+using testutil::Q;
 using testutil::RelSpec;
 using testutil::SeededRng;
 
@@ -420,6 +421,120 @@ TEST_P(SelectKernelProperty, EveryBackendMatchesPerWorldSelection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectKernelProperty, ::testing::Range(0, 12));
+
+// Difference-kernel oracle: L − S on every backend equals per-world
+// evaluation. The WSDT is built by hand so every case of the kernel shows
+// up across seeds: certain − certain (equal and unequal rows),
+// certain − uncertain (the left row becomes conditional), uncertain −
+// certain, and uncertain − uncertain with both rows in one component or
+// in different ones. Placeholder columns carry ⊥ (rows present in some
+// worlds only, on both sides, and rows present in none), and cells mix
+// ints, doubles (1.0 equals int 1) and strings. Each seed also checks
+// L − L, S − L, an empty right side and a disjoint right side.
+class DifferenceKernelProperty : public ::testing::TestWithParam<int> {};
+
+Wsdt RandomDifferenceInput(Rng& rng) {
+  const rel::Value pool[] = {I(0), I(1), rel::Value::Double(1.0),
+                             rel::Value::Double(2.5),
+                             rel::Value::String("a")};
+  auto draw = [&] { return pool[rng.Uniform(std::size(pool))]; };
+  const rel::Schema schema = rel::Schema::FromNames({"A", "B"});
+  // Fields of '?' cells, each assigned to one of a few components.
+  const size_t num_comps = 1 + rng.Uniform(3);
+  std::vector<std::vector<FieldKey>> comp_fields(num_comps);
+  Wsdt wsdt;
+  std::vector<rel::Relation> templates;
+  for (const char* name : {"L", "S"}) {
+    rel::Relation tmpl(schema, name);
+    size_t rows = rng.Uniform(5);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<rel::Value> row(2);
+      // Some S rows restate an L row's certain cells, so matches are
+      // frequent.
+      if (std::string(name) == "S" && !templates[0].empty() &&
+          rng.Bernoulli(0.4)) {
+        rel::TupleRef src =
+            templates[0].row(rng.Uniform(templates[0].NumRows()));
+        row.assign(src.data(), src.data() + 2);
+      } else {
+        for (rel::Value& v : row) v = rng.Bernoulli(0.5) ? draw() : Q();
+      }
+      for (size_t a = 0; a < 2; ++a) {
+        if (!row[a].is_question()) continue;
+        comp_fields[rng.Uniform(num_comps)].push_back(FieldKey(
+            name, static_cast<TupleId>(r), schema.attr(a).name_view()));
+      }
+      tmpl.AppendRow(row);
+    }
+    templates.push_back(std::move(tmpl));
+  }
+  for (rel::Relation& tmpl : templates) {
+    EXPECT_TRUE(wsdt.AddTemplateRelation(std::move(tmpl)).ok());
+  }
+  for (std::vector<FieldKey>& fields : comp_fields) {
+    if (fields.empty()) continue;
+    Component comp(fields);
+    const size_t worlds = 1 + rng.Uniform(3);
+    std::vector<rel::Value> values(fields.size());
+    for (size_t w = 0; w < worlds; ++w) {
+      for (rel::Value& v : values) {
+        v = rng.Bernoulli(0.2) ? testutil::Bot() : draw();
+      }
+      comp.AddWorld(values, 1.0 / static_cast<double>(worlds));
+    }
+    comp.PropagateBottom();
+    EXPECT_TRUE(wsdt.AddComponent(std::move(comp)).ok());
+  }
+  return wsdt;
+}
+
+TEST_P(DifferenceKernelProperty, EveryBackendMatchesPerWorldDifference) {
+  SeededRng rng(static_cast<uint64_t>(GetParam()) * 3571 + 17);
+  MAYWSD_SEED_TRACE(rng);
+  for (int round = 0; round < 4; ++round) {
+    Wsdt wsdt = RandomDifferenceInput(rng);
+    ASSERT_TRUE(wsdt.Validate().ok()) << wsdt.ToString();
+    rel::Relation empty(rel::Schema::FromNames({"A", "B"}), "E");
+    rel::Relation disjoint(rel::Schema::FromNames({"A", "B"}), "D");
+    disjoint.AppendRow({rel::Value::String("zz"), I(7)});
+    ASSERT_TRUE(wsdt.AddTemplateRelation(empty).ok());
+    ASSERT_TRUE(wsdt.AddTemplateRelation(disjoint).ok());
+    auto worlds = wsdt.ToWsd().value().EnumerateWorlds(100000);
+    ASSERT_TRUE(worlds.ok());
+
+    const std::vector<std::pair<const char*, const char*>> cases = {
+        {"L", "S"}, {"S", "L"}, {"L", "L"}, {"L", "E"}, {"L", "D"}};
+    for (api::BackendKind kind : testutil::AllBackendKinds()) {
+      SCOPED_TRACE(::testing::Message() << api::BackendKindName(kind)
+                                        << " round " << round << "\n"
+                                        << wsdt.ToString());
+      auto session = api::Session::Open(kind, wsdt);
+      ASSERT_TRUE(session.ok());
+      for (const auto& [left, right] : cases) {
+        SCOPED_TRACE(std::string(left) + " - " + right);
+        Plan plan = Plan::Difference(Plan::Scan(left), Plan::Scan(right));
+        auto expected = EvaluatePerWorld(*worlds, plan, "OUT");
+        ASSERT_TRUE(expected.ok());
+        const std::string out = std::string("OUT_") + left + right;
+        Status st = session->Run(plan, out);
+        ASSERT_TRUE(st.ok()) << st;
+        auto got = testutil::SessionWorlds(*session, 1000000, {out});
+        ASSERT_TRUE(got.ok()) << got.status();
+        for (PossibleWorld& w : *got) {
+          rel::Relation renamed = *w.db.GetRelation(out).value();
+          renamed.set_name("OUT");
+          w.db = rel::Database();
+          w.db.PutRelation(std::move(renamed));
+        }
+        EXPECT_TRUE(WorldSetsEquivalent(*expected, *got));
+        ASSERT_TRUE(testutil::ValidateSession(*session).ok());
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferenceKernelProperty,
+                         ::testing::Range(0, 16));
 
 // Randomized pin-teardown leak oracle: pinning a Snapshot and a Fork over
 // a random store, reading through both and running a random plan inside

@@ -415,6 +415,95 @@ TEST(SessionTest, UniformSessionKeepsStoreImportable) {
   EXPECT_TRUE(back->Validate().ok());
 }
 
+/// The placeholder components of every '?' cell of `relation`, by cell:
+/// each component rendered with its fields, local worlds and
+/// probabilities.
+std::vector<std::string> ComponentsOf(const Wsdt& wsdt,
+                                      const std::string& relation) {
+  std::vector<std::string> out;
+  const rel::Relation& tmpl = *wsdt.Template(relation).value();
+  for (size_t r = 0; r < tmpl.NumRows(); ++r) {
+    for (size_t a = 0; a < tmpl.arity(); ++a) {
+      if (!tmpl.row(r)[a].is_question()) continue;
+      core::FieldKey f(relation, static_cast<core::TupleId>(r),
+                       tmpl.schema().attr(a).name_view());
+      out.push_back(wsdt.component(wsdt.Locate(f).value().comp).ToString());
+    }
+  }
+  return out;
+}
+
+TEST(SessionTest, WsdtDifferenceTouchesOnlyItsOutput) {
+  // L − S composes the components of L.t0 and S.t0. U is unrelated: its
+  // dead row 0 (⊥ in every local world) keeps its TID, and its component
+  // keeps two identical local worlds — no other relation is renormalized.
+  Wsdt wsdt;
+  rel::Schema ab = rel::Schema::FromNames({"A", "B"});
+  rel::Relation l(ab, "L"), s(ab, "S"), u(ab, "U");
+  l.AppendRow({testutil::Q(), I(1)});
+  l.AppendRow({I(5), I(5)});
+  s.AppendRow({testutil::Q(), I(1)});
+  u.AppendRow({testutil::Q(), I(0)});
+  u.AppendRow({I(9), testutil::Q()});
+  for (rel::Relation* r : {&l, &s, &u}) {
+    ASSERT_TRUE(wsdt.AddTemplateRelation(*r).ok());
+  }
+  auto add = [&](std::vector<core::FieldKey> fields,
+                 std::vector<std::vector<rel::Value>> worlds) {
+    core::Component c(std::move(fields));
+    for (const auto& w : worlds) {
+      c.AddWorld(w, 1.0 / static_cast<double>(worlds.size()));
+    }
+    ASSERT_TRUE(wsdt.AddComponent(std::move(c)).ok());
+  };
+  add({core::FieldKey("L", 0, "A")}, {{I(1)}, {I(2)}});
+  add({core::FieldKey("S", 0, "A")}, {{I(1)}, {I(3)}});
+  add({core::FieldKey("U", 0, "A")}, {{testutil::Bot()}, {testutil::Bot()}});
+  add({core::FieldKey("U", 1, "B")}, {{I(4)}, {I(4)}, {I(6)}});
+  ASSERT_TRUE(wsdt.Validate().ok());
+
+  Session session = Session::Open(std::move(wsdt));
+  const Wsdt& held = *std::as_const(session).wsdt();
+  const rel::Relation u_before = *held.Template("U").value();
+  const std::vector<std::string> u_comps = ComponentsOf(held, "U");
+  ASSERT_TRUE(
+      session.Run(Plan::Difference(Plan::Scan("L"), Plan::Scan("S")), "OUT")
+          .ok());
+  const Wsdt& after = *std::as_const(session).wsdt();
+  ASSERT_TRUE(after.Validate().ok());
+  const rel::Relation& u_after = *after.Template("U").value();
+  EXPECT_EQ(u_after.data(), u_before.data());
+  EXPECT_EQ(ComponentsOf(after, "U"), u_comps);
+  // (1, 1) survives only where S.t0's A is 3; (2, 1) is never subtracted.
+  const rel::Value t0[] = {I(1), I(1)};
+  EXPECT_NEAR(session.TupleConfidence("OUT", t0).value(), 0.25, 1e-12);
+  const rel::Value t0b[] = {I(2), I(1)};
+  EXPECT_NEAR(session.TupleConfidence("OUT", t0b).value(), 0.5, 1e-12);
+  const rel::Value t1[] = {I(5), I(5)};
+  EXPECT_NEAR(session.TupleConfidence("OUT", t1).value(), 1.0, 1e-12);
+}
+
+TEST(SessionTest, CertainDifferenceOnUniformPaysNoRoundTrip) {
+  Session session = Session::Open(BackendKind::kUniform);
+  rel::Relation l(rel::Schema::FromNames({"A", "B"}), "L");
+  rel::Relation s(rel::Schema::FromNames({"A", "B"}), "S");
+  for (int64_t i = 0; i < 6; ++i) l.AppendRow({I(i), I(i % 2)});
+  for (int64_t i = 0; i < 6; i += 2) s.AppendRow({I(i), I(0)});
+  s.AppendRow({I(1), I(0)});  // no L row equals it
+  ASSERT_TRUE(session.Register(l).ok());
+  ASSERT_TRUE(session.Register(s).ok());
+  ASSERT_TRUE(
+      session.Run(Plan::Difference(Plan::Scan("L"), Plan::Scan("S")), "OUT")
+          .ok());
+  EXPECT_EQ(session.Stats().round_trips, 0u);
+  EXPECT_TRUE(core::ValidateUniform(*session.uniform()).ok());
+  auto rows = session.CertainTuples("OUT");
+  ASSERT_TRUE(rows.ok());
+  rel::Relation want(rel::Schema::FromNames({"A", "B"}), "OUT");
+  for (int64_t i = 1; i < 6; i += 2) want.AppendRow({I(i), I(1)});
+  EXPECT_TRUE(rows->EqualsAsSet(want)) << rows->ToString();
+}
+
 // -- certain / conf(t) derived from a memoized possible-with-confidence -------
 
 /// Every possible tuple of `graded` (the conf column dropped) plus one tuple

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -127,6 +129,48 @@ TEST(ValueTest, IntDoubleEqualityAtTheInt64Range) {
       }
     }
   }
+}
+
+TEST(ValueTest, NaNIsOrderedAboveEveryNumberAndEqualsItself) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  std::vector<Value> values = {
+      Value::Double(nan),  Value::Double(-nan), Value::Double(inf),
+      Value::Double(-inf), Value::Double(1.0),  Value::Double(-2.5),
+      Value::Double(0x1p63), Value::Int(1),     Value::Int(max),
+      Value::Int(-3),      Value::Int(0)};
+  EXPECT_GT(Value::Double(nan).Compare(Value::Double(inf)), 0);
+  EXPECT_GT(Value::Double(nan).Compare(Value::Int(max)), 0);
+  EXPECT_LT(Value::Int(1).Compare(Value::Double(nan)), 0);
+  EXPECT_EQ(Value::Double(nan), Value::Double(-nan));
+  EXPECT_EQ(Value::Double(nan).Hash(), Value::Double(-nan).Hash());
+  EXPECT_NE(Value::Double(nan), Value::Int(0));
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      SCOPED_TRACE(a.ToString() + " vs " + b.ToString());
+      EXPECT_EQ(sign(a.Compare(b)), -sign(b.Compare(a)));  // antisymmetric
+      EXPECT_EQ(a.Compare(b) == 0, a == b);
+      if (a == b) {
+        EXPECT_EQ(a.Hash(), b.Hash());
+      }
+      for (const Value& c : values) {
+        if (a.Compare(b) <= 0 && b.Compare(c) <= 0) {  // transitive
+          EXPECT_LE(a.Compare(c), 0) << " via " << c.ToString();
+        }
+      }
+    }
+  }
+  // A sort then adjacent dedup keeps exactly one NaN, last.
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  ASSERT_EQ(values.size(), 9u);  // 1 == 1.0, and the two NaNs are one
+  EXPECT_TRUE(values.back().is_double());
+  EXPECT_TRUE(std::isnan(values.back().AsDouble()));
+  std::unordered_set<Value> distinct = {Value::Double(nan),
+                                        Value::Double(-nan)};
+  EXPECT_EQ(distinct.size(), 1u);
 }
 
 TEST(ValueTest, StringOrderIsLexicographic) {
